@@ -77,10 +77,9 @@ func (t *Trace) Begin(tid int, name string) {
 	if t == nil {
 		return
 	}
-	ts := time.Since(t.start).Nanoseconds()
 	t.mu.Lock()
 	t.open[int32(tid)]++
-	t.append(traceEvent{name: name, ph: phaseBegin, tid: int32(tid), ts: ts})
+	t.append(traceEvent{name: name, ph: phaseBegin, tid: int32(tid), ts: t.now()})
 	t.mu.Unlock()
 }
 
@@ -90,11 +89,10 @@ func (t *Trace) End(tid int) {
 	if t == nil {
 		return
 	}
-	ts := time.Since(t.start).Nanoseconds()
 	t.mu.Lock()
 	if t.open[int32(tid)] > 0 {
 		t.open[int32(tid)]--
-		t.append(traceEvent{ph: phaseEnd, tid: int32(tid), ts: ts})
+		t.append(traceEvent{ph: phaseEnd, tid: int32(tid), ts: t.now()})
 	}
 	t.mu.Unlock()
 }
@@ -105,11 +103,15 @@ func (t *Trace) Count(name string, v int64) {
 	if t == nil {
 		return
 	}
-	ts := time.Since(t.start).Nanoseconds()
 	t.mu.Lock()
-	t.append(traceEvent{name: name, ph: phaseCounter, ts: ts, val: v})
+	t.append(traceEvent{name: name, ph: phaseCounter, ts: t.now(), val: v})
 	t.mu.Unlock()
 }
+
+// now is the timestamp of an event being appended. Callers hold t.mu:
+// reading the clock under the lock keeps the event array in time order
+// when several goroutines record concurrently.
+func (t *Trace) now() int64 { return time.Since(t.start).Nanoseconds() }
 
 // append stores one event, honoring the cap. Callers hold t.mu.
 func (t *Trace) append(ev traceEvent) {
@@ -147,7 +149,7 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ts := time.Since(t.start).Nanoseconds()
+	ts := t.now()
 	for tid, depth := range t.open {
 		for ; depth > 0; depth-- {
 			t.events = append(t.events, traceEvent{ph: phaseEnd, tid: tid, ts: ts})

@@ -104,7 +104,7 @@ type Plan struct {
 	// FrontEligible[g] marks gates whose quiet watermark advance the engine
 	// may compute without a scheduled visit: exactly the ClassComb1 gates —
 	// single output, zero state, no edge-sensitive inputs, packed LUT built —
-	// whose idle walk (idleComb1 and its script/lane twins) is a pure
+	// whose idle walk (the engine's comb1 idle kernels) is a pure
 	// function of input watermarks and soft state. NetLevel[n] is the net's
 	// topological depth for the frontier drain order: 0 for primary inputs,
 	// undriven nets and outputs of sequential-phase gates, driver's
@@ -114,7 +114,7 @@ type Plan struct {
 	//
 	// NetFront[n] classifies net n's readers for the watermark-only mark
 	// path: FrontNetNone nets (no eligible reader, or no readers) fall
-	// straight through to the baseline mark loop without touching frontier
+	// straight through to the per-reader mark loop without touching frontier
 	// state; FrontNetAll nets have only eligible readers, so a frontier
 	// commit needs no fallback scan; FrontNetMixed nets additionally walk
 	// their full fanout at drain time to dirty-mark the ineligible readers.

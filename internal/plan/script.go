@@ -8,8 +8,8 @@ import (
 // Script is the compiled form of one sweep segment: the segment's gates
 // lowered into a flat instruction array replayed by a tight per-kernel loop
 // in the executor, with no per-gate plan lookups on the hot path. Scripts
-// parallel Segs one-to-one (same gates, order, level and barrier), so the
-// script schedule is a drop-in replacement for the interpreted one.
+// parallel Segs one-to-one (same gates, order, level and barrier): the
+// script schedule is the bucketed segment schedule in executable form.
 //
 // Each script owns a word-aligned range of the plan-wide dirty bitset
 // starting at BitOff: op i's dirty bit is BitOff+i, so a sweep tests and

@@ -130,40 +130,19 @@ type Options struct {
 	// in gate-evaluation code and exercises the containment/poisoning path
 	// with exact gate/level coordinates. Test-only.
 	GateHook func(gate netlist.CellID)
-	// DisableKernels forces every gate through the generic sequential
-	// interpreter and the unbucketed level schedule, ignoring the plan's
-	// kernel classification. Test/bench knob: it lets the same design run
-	// the pre-kernel execution shape for equivalence and speedup checks.
-	// It implies DisableScripts (scripts are compiled from the kernel
-	// schedule).
-	DisableKernels bool
-	// DisableScripts keeps the per-gate interpreted sweep: segments scan
-	// their gate lists and per-gate dirty flags instead of replaying the
-	// plan's compiled scripts over the dirty bitset. The interpreted path
-	// is the bit-exact baseline the script equivalence tests diff against.
-	DisableScripts bool
 	// Lanes is the number of independent stimulus lanes evaluated together
 	// (1..lane.MaxLanes; 0 means 1). With Lanes > 1 the engine runs in lane
 	// mode: every net carries a lane.Word vector alongside its event queue,
 	// comb1 script visits evaluate all lanes branch-free through
 	// truthtab.LanePackedLUT, and seq/ineligible cells evaluate each lane
 	// through the scalar interpreter at shared change points. Lane mode
-	// requires the compiled-script schedule (DisableKernels/DisableScripts
-	// reject), drives stimuli through InjectLanes/RunLaneStream (the scalar
+	// drives stimuli through InjectLanes/RunLaneStream (the scalar
 	// Inject/RunStream entry points reject), and never checkpoints or
 	// snapshots (event history is retained for per-lane stream extraction).
 	// The frontier plane participates: quiet watermark advances run the
 	// lane-word idle kernel from frontier commits, lane-mask-aware. Lanes =
 	// 1 is today's scalar engine, bit-exact and unchanged.
 	Lanes int
-	// DisableFrontier restores per-reader dirty marks for watermark-only
-	// net advances: every waiting reader is re-visited by the sweep
-	// machinery instead of being advanced through the per-net frontier
-	// plane (see frontier.go). The marking path is the bit-exact baseline
-	// the frontier equivalence and fuzz tests diff against. DisableKernels
-	// implies it — the frontier walk is the comb1 idle kernel, which the
-	// pre-kernel shape must not run.
-	DisableFrontier bool
 	// Metrics, when non-nil, receives the engine's obs counters and phase
 	// histograms (sim.* and pool.* names). Nil keeps every record site on
 	// the ~1 ns nil-instrument path (see internal/obs).
@@ -212,9 +191,7 @@ type Stats struct {
 	// frontier pass drained — each one delivered a net's coalesced advance
 	// to its whole reader cloud in one scan (see frontier.go) — and
 	// QueriesSaved counts LUT probes the idle walks skipped because a
-	// memoized determinedness mask already decided the expiry. Both are 0
-	// with DisableFrontier (the masks are only consulted by the idle
-	// kernels the frontier plane runs).
+	// memoized determinedness mask already decided the expiry.
 	VisitsWatermarkOnly int64
 	FrontierCommits     int64
 	QueriesSaved        int64
@@ -225,8 +202,7 @@ type Stats struct {
 	VisitsLane int64
 
 	// VisitsByKernel/QueriesByKernel split Visits/Queries by the kernel
-	// class that served them (index by truthtab.Class). With kernels
-	// disabled everything lands on truthtab.ClassSeq.
+	// class that served them (index by truthtab.Class).
 	VisitsByKernel  [truthtab.NumClasses]int64
 	QueriesByKernel [truthtab.NumClasses]int64
 
@@ -239,7 +215,7 @@ type Stats struct {
 	LevelNS     int64 // wall time inside level-execution rounds
 
 	// ScriptSegments is the number of compiled segment scripts in the
-	// active sweep schedule (0 when scripts are disabled).
+	// sweep schedule.
 	// SegmentsSkipped counts segment scans a sweep skipped outright because
 	// the segment's dirty-bitset population was zero — the clean-segment
 	// fast path that makes quiescent levels cost one load.
@@ -375,22 +351,16 @@ type Engine struct {
 	// allocated on the first Value call (debug/test surface, usually unused).
 	valRd []event.Reader
 
-	// kern caches the kernel class per gate (the plan classifies per
-	// interned table; the executor dispatches per gate). All ClassSeq under
-	// Options.DisableKernels.
-	kern []truthtab.Class
-
-	// Compiled-script execution state (nil/empty when scripts are off).
-	// dirtyBits is the plan-wide dirty bitset (plan.BitOf layout, segments
-	// word-aligned); segDirty[s] is script s's set-bit population, kept by
-	// markDirty (increment on a 0→1 bit transition) and the replay loops
-	// (decrement by the popcount of each word they swap out), so a clean
-	// segment is skipped on one counter load without touching its words.
+	// Compiled-script execution state. dirtyBits is the plan-wide dirty
+	// bitset (plan.BitOf layout, segments word-aligned); segDirty[s] is
+	// script s's set-bit population, kept by markDirty (increment on a 0→1
+	// bit transition) and the replay loops (decrement by the popcount of
+	// each word they swap out), so a clean segment is skipped on one
+	// counter load without touching its words.
 	dirtyBits []uint64
 	segDirty  []int64
 
-	// front is the per-net frontier worklist (see frontier.go); front.on
-	// is false with DisableFrontier or DisableKernels.
+	// front is the per-net frontier worklist (see frontier.go).
 	front frontierState
 
 	// Lane mode (Options.Lanes > 1). Each net's laneStores entry parallels
@@ -448,9 +418,6 @@ func NewFromPlan(p *plan.Plan, opts Options) (*Engine, error) {
 	e := &Engine{p: p, nl: p.Netlist, opts: opts.withDefaults()}
 	if e.opts.Lanes > lane.MaxLanes {
 		return nil, fmt.Errorf("sim: Lanes %d exceeds lane.MaxLanes %d", e.opts.Lanes, lane.MaxLanes)
-	}
-	if e.opts.Lanes > 1 && (e.opts.DisableKernels || e.opts.DisableScripts) {
-		return nil, fmt.Errorf("sim: lane mode requires the compiled-script schedule (DisableKernels/DisableScripts unset)")
 	}
 	e.lanes = e.opts.Lanes
 	e.laneMask = uint32(1)<<uint(e.lanes) - 1
@@ -549,108 +516,22 @@ func NewFromPlan(p *plan.Plan, opts Options) (*Engine, error) {
 		e.laneSoftPend = make([][]event.Event, nOut*e.lanes)
 	}
 
-	e.kern = make([]truthtab.Class, p.NumGates())
-	switch {
-	case !e.opts.DisableKernels && !e.opts.DisableScripts:
-		// Compiled schedule: each segment replayed from its script over the
-		// dirty bitset.
-		for i := range e.kern {
-			e.kern[i] = p.KernelOf[p.TableOf[i]]
-		}
-		e.dirtyBits = make([]uint64, p.ScriptWords)
-		e.segDirty = make([]int64, len(p.Scripts))
-		e.sweepSegs = make([]execSeg, len(p.Scripts))
-		for i := range p.Scripts {
-			s := &p.Scripts[i]
-			e.sweepSegs[i] = execSeg{
-				script: s, dirty: &e.segDirty[i],
-				kernel: s.Kernel, level: s.Level, barrier: s.Barrier,
-				items: int64(s.Words()),
-			}
-		}
-		e.scriptSegs = len(p.Scripts)
-		e.fusedLevs = p.FusedLevels
-	case !e.opts.DisableKernels:
-		// The plan's bucketed schedule, interpreted: each level split into
-		// per-kernel runs, first bucket of a group carrying the barrier.
-		e.sweepSegs = make([]execSeg, len(p.Segs))
-		for i := range p.Segs {
-			s := &p.Segs[i]
-			e.sweepSegs[i] = execSeg{
-				gates:  s.Gates,
-				kernel: s.Kernel, level: s.Level, barrier: s.Barrier,
-				items: int64(len(s.Gates)),
-			}
-		}
-		for i := range e.kern {
-			e.kern[i] = p.KernelOf[p.TableOf[i]]
-		}
-		e.fusedLevs = p.FusedLevels
-	default:
-		// Unbucketed fallback: the pre-kernel execution shape, one segment
-		// per level in original gate order, every level a barrier.
-		e.sweepSegs = make([]execSeg, 0, 1+len(p.Lev.Levels))
-		e.sweepSegs = append(e.sweepSegs, execSeg{
-			gates: p.Lev.Sequential, level: -1, barrier: true,
-			items: int64(len(p.Lev.Sequential)),
-		})
-		for lv, gates := range p.Lev.Levels {
-			e.sweepSegs = append(e.sweepSegs, execSeg{
-				gates: gates, level: lv, barrier: true, items: int64(len(gates)),
-			})
+	// Each segment is replayed from its compiled script over the dirty
+	// bitset.
+	e.dirtyBits = make([]uint64, p.ScriptWords)
+	e.segDirty = make([]int64, len(p.Scripts))
+	e.sweepSegs = make([]execSeg, len(p.Scripts))
+	for i := range p.Scripts {
+		s := &p.Scripts[i]
+		e.sweepSegs[i] = execSeg{
+			script: s, dirty: &e.segDirty[i],
+			kernel: s.Kernel, level: s.Level, barrier: s.Barrier,
+			items: int64(s.Words()),
 		}
 	}
-	// The frontier plane needs the comb1 idle kernel, so the pre-kernel
-	// A/B shape (DisableKernels) implies the marking baseline too. Lane
-	// mode participates: the walk dispatches to the lane-word idle kernel,
-	// so lane gates advance through their lane twins (lane mode always
-	// compiles scripts).
-	if !e.opts.DisableFrontier && !e.opts.DisableKernels {
-		f := &e.front
-		f.on = true
-		nets := len(p.Netlist.Nets)
-		f.netMark = make([]int64, nets)
-		for i := range f.netMark {
-			f.netMark[i] = frontierUnstaged
-		}
-		// One staging bucket per level in each tier, preallocated to the
-		// level's population — flag dedup guarantees a bucket can never
-		// overflow it. The buckets subslice two flat backing arrays so
-		// construction stays O(arrays), not O(levels) (TestNewFromPlanAllocs).
-		npop := make([]int64, p.NumNetLevels)
-		nTot := int64(0)
-		for nid := 0; nid < nets; nid++ {
-			if p.NetFront[nid] != plan.FrontNetNone {
-				npop[p.NetLevel[nid]]++
-				nTot++
-			}
-		}
-		f.nets = make([][]netlist.NetID, p.NumNetLevels)
-		nBack := make([]netlist.NetID, nTot)
-		for lv := range f.nets {
-			f.nets[lv], nBack = nBack[:npop[lv]:npop[lv]], nBack[npop[lv]:]
-		}
-		f.netLen = make([]int64, p.NumNetLevels)
-		// cellState pre-bakes each eligible gate's walk level next to the
-		// staged bit so the commit hot path never touches plan.FrontLevel.
-		f.cellState = make([]uint32, p.NumGates())
-		cpop := make([]int64, p.NumNetLevels)
-		cTot := int64(0)
-		for g := 0; g < p.NumGates(); g++ {
-			if p.FrontEligible[g] {
-				f.cellState[g] = uint32(p.FrontLevel[g]) << 1
-				cpop[p.FrontLevel[g]]++
-				cTot++
-			}
-		}
-		f.cells = make([][]netlist.CellID, p.NumNetLevels)
-		cBack := make([]netlist.CellID, cTot)
-		for lv := range f.cells {
-			f.cells[lv], cBack = cBack[:cpop[lv]:cpop[lv]], cBack[cpop[lv]:]
-		}
-		f.cellLen = make([]int64, p.NumNetLevels)
-		f.loLv = p.NumNetLevels
-	}
+	e.scriptSegs = len(p.Scripts)
+	e.fusedLevs = p.FusedLevels
+	e.front = newFrontierState(p)
 	// Everything starts dirty so the first Advance initializes constant
 	// cones (tie cells, reset trees) even before any stimulus.
 	e.markAllDirty()
@@ -660,17 +541,10 @@ func NewFromPlan(p *plan.Plan, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// markAllDirty marks every gate for the next sweep: all per-gate dirty
-// flags, and — when scripts are on — every valid dirty bit with the
-// per-segment populations to match. Stray bits above a script's op count
-// stay zero so a word swap never yields an out-of-range op index.
+// markAllDirty marks every gate for the next sweep: every valid dirty bit,
+// with the per-segment populations to match. Stray bits above a script's
+// op count stay zero so a word swap never yields an out-of-range op index.
 func (e *Engine) markAllDirty() {
-	for i := range e.gate {
-		e.gate[i].dirty.Store(true)
-	}
-	if e.dirtyBits == nil {
-		return
-	}
 	p := e.p
 	for i := range p.Scripts {
 		s := &p.Scripts[i]

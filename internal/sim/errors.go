@@ -157,7 +157,7 @@ func (e *Engine) oscillationReport(horizon int64, sweeps int) *OscillationReport
 	rep := &OscillationReport{Sweeps: sweeps, Horizon: horizon}
 	for gi := range e.gate {
 		g := &e.gate[gi]
-		if g.futureMin >= horizon && !g.dirty.Load() {
+		if g.futureMin >= horizon && !e.isDirty(netlist.CellID(gi)) {
 			continue
 		}
 		if len(rep.Gates) >= oscReportLimit {

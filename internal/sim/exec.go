@@ -25,11 +25,11 @@ import (
 // the in-sweep cascade: a gate dirtied by level L is picked up by level
 // L+1's scan in the same sweep.
 //
-// Segments come in two shapes (execSeg): interpreted segments claim gate
-// chunks and filter on per-gate dirty flags; compiled segments claim dirty
-// bitset words and replay the plan's flat script for each set bit — one
-// atomic swap test-and-clears 64 gates, and a segment whose dirty
-// population reads zero is skipped without touching its words at all.
+// Sweep segments are compiled (execSeg): they claim dirty bitset words and
+// replay the plan's flat script for each set bit — one atomic swap
+// test-and-clears 64 gates, and a segment whose dirty population reads zero
+// is skipped without touching its words at all. Checkpoint rounds run one
+// gate-list segment over every gate instead.
 //
 // Gates within a segment never share output nets or write-visible state, so
 // cross-worker traffic is the claim indices, the idempotent dirty marks,
@@ -72,15 +72,15 @@ type executor struct {
 	ckptSegs []execSeg        // single-segment schedule over allGates
 }
 
-// execSeg is one schedulable segment of a sweep. Exactly one of gates and
-// script is set: gate-list segments are claimed in gate chunks and filtered
-// by per-gate dirty flags; script segments are claimed in dirty-bitset
-// words and replayed from the compiled instruction array. items is the
-// claim-unit count — gates or words — that segIdx/segDone run over.
+// execSeg is one schedulable segment of a round. Exactly one of gates and
+// script is set: script segments (every sweep segment) are claimed in
+// dirty-bitset words and replayed from the compiled instruction array; the
+// checkpoint round's gate-list segment is claimed in gate chunks. items is
+// the claim-unit count — words or gates — that segIdx/segDone run over.
 type execSeg struct {
 	gates   []netlist.CellID
 	script  *plan.Script
-	dirty   *int64 // the segment's dirty population (script path)
+	dirty   *int64 // the segment's dirty population (script segments)
 	kernel  truthtab.Class
 	level   int // -1 for the sequential phase
 	barrier bool
@@ -102,8 +102,8 @@ type panicRecord struct {
 type roundKind int
 
 const (
-	// roundDirty visits only gates whose dirty mark it wins (flag CAS or
-	// bitset word swap).
+	// roundDirty visits only gates whose dirty bit it wins (bitset word
+	// swap).
 	roundDirty roundKind = iota
 	// roundOblivious visits every gate (the manycore full-level scan).
 	roundOblivious
@@ -252,7 +252,7 @@ func (x *executor) runSweepSerial(segs []execSeg, kind roundKind) (int64, bool) 
 		// from the previous sweep live in net bucket 0, and their seq
 		// readers must be dirty before the seq scan, not a sweep later.
 		// Single-goroutine rounds only — this is the coordinator.
-		if f := &x.e.front; f.on && kind == roundDirty && f.staged > 0 {
+		if kind == roundDirty && x.e.front.staged > 0 {
 			bound := seg.level
 			if bound < 0 {
 				bound = 0
@@ -282,7 +282,7 @@ func (x *executor) runSweepSerial(segs []execSeg, kind roundKind) (int64, bool) 
 		if seg.script != nil {
 			ok = x.runScriptChunk(kind, seg.level+1, seg, 0, seg.items, sc, &claimed, &progress)
 		} else {
-			ok = x.runChunk(kind, seg.level+1, seg.gates, sc, &claimed, &progress)
+			ok = x.runChunk(seg.level+1, seg.gates, sc)
 		}
 		x.e.obs.trace.End(x.e.obs.tid)
 		if !ok {
@@ -392,71 +392,46 @@ func (x *executor) runSegChunkCounted(s int, seg *execSeg, lo, hi int64, sc *scr
 	if seg.script != nil {
 		x.runScriptChunk(x.kind, seg.level+1, seg, lo, hi, sc, claimed, progress)
 	} else {
-		x.runChunk(x.kind, seg.level+1, seg.gates[lo:hi], sc, claimed, progress)
+		x.runChunk(seg.level+1, seg.gates[lo:hi], sc)
 	}
 }
 
-// runChunk processes one slice of a gate-list segment under panic
-// containment. lvl is the PanicInfo.Level coordinate of the segment
-// (segment level + 1, so 0 is the sequential phase). It returns false when
-// a panic was contained (recorded in x.failed with the panicking gate's
-// coordinates); the remainder of the chunk is skipped.
-func (x *executor) runChunk(kind roundKind, lvl int, chunk []netlist.CellID, sc *scratch, claimed *int64, progress *bool) (ok bool) {
+// containPanic is deferred by the chunk runners: it records a panic in
+// per-gate code in x.failed, with the coordinates of the gate being
+// processed (*cur) and the segment's PanicInfo.Level coordinate lvl
+// (segment level + 1, so 0 is the sequential phase), and makes the runner
+// return false; the remainder of the chunk is skipped.
+func (x *executor) containPanic(cur *netlist.CellID, lvl int, ok *bool) {
+	if v := recover(); v != nil {
+		x.failed.CompareAndSwap(nil, &panicRecord{
+			value: v, stack: debug.Stack(), gate: *cur, seg: lvl,
+		})
+		*ok = false
+	}
+}
+
+// runChunk folds the base checkpoint of one slice of the checkpoint
+// round's gate list under panic containment.
+func (x *executor) runChunk(lvl int, chunk []netlist.CellID, sc *scratch) (ok bool) {
 	cur := netlist.CellID(-1)
-	defer func() {
-		if v := recover(); v != nil {
-			x.failed.CompareAndSwap(nil, &panicRecord{
-				value: v, stack: debug.Stack(), gate: cur, seg: lvl,
-			})
-			ok = false
-		}
-	}()
-	hook := x.e.opts.GateHook
+	defer x.containPanic(&cur, lvl, &ok)
 	for _, id := range chunk {
 		cur = id
-		switch kind {
-		case roundDirty:
-			if !x.e.gate[id].dirty.CompareAndSwap(true, false) {
-				continue
-			}
-			*claimed++
-			if hook != nil {
-				hook(id)
-			}
-			if x.e.visitGate(id, sc) {
-				*progress = true
-			}
-		case roundOblivious:
-			if hook != nil {
-				hook(id)
-			}
-			if x.e.visitGate(id, sc) {
-				*progress = true
-			}
-		case roundCheckpoint:
-			x.e.checkpoint(id, sc)
-		}
+		x.e.checkpoint(id, sc)
 	}
 	return true
 }
 
-// runScriptChunk replays words [lo, hi) of a script segment under the same
-// panic containment as runChunk. Each word is swapped out of the dirty
-// bitset (crediting its popcount back to the segment's population) and the
-// surviving bits index straight into the flat instruction array; comb1
-// segments run the compiled kernel, anything else dispatches the gate to
-// its interpreted kernel. Oblivious rounds visit every instruction in the
-// word range and use the swap only to drain stale marks.
+// runScriptChunk replays words [lo, hi) of a script segment under panic
+// containment. Each word is swapped out of the dirty bitset (crediting its
+// popcount back to the segment's population) and the surviving bits index
+// straight into the flat instruction array; comb1 segments run the
+// compiled kernel, anything else the generic interpreter. Oblivious rounds
+// visit every instruction in the word range and use the swap only to drain
+// stale marks.
 func (x *executor) runScriptChunk(kind roundKind, lvl int, seg *execSeg, lo, hi int64, sc *scratch, claimed *int64, progress *bool) (ok bool) {
 	cur := netlist.CellID(-1)
-	defer func() {
-		if v := recover(); v != nil {
-			x.failed.CompareAndSwap(nil, &panicRecord{
-				value: v, stack: debug.Stack(), gate: cur, seg: lvl,
-			})
-			ok = false
-		}
-	}()
+	defer x.containPanic(&cur, lvl, &ok)
 	e := x.e
 	sp := seg.script
 	base := int(sp.BitOff) >> 6
@@ -484,21 +459,7 @@ func (x *executor) runScriptChunk(kind roundKind, lvl int, seg *execSeg, lo, hi 
 				if hook != nil {
 					hook(op.Gate)
 				}
-				var prog bool
-				if comb1 {
-					ev0 := sc.events
-					if e.lanes > 1 {
-						prog = e.visitLaneScriptComb1(op, sc)
-					} else {
-						prog = e.visitScriptComb1(op, sc)
-					}
-					if sc.events == ev0 {
-						sc.visitsWMOnly++
-					}
-				} else {
-					prog = e.visitGate(op.Gate, sc)
-				}
-				if prog {
+				if e.visitGate(op, comb1, sc) {
 					*progress = true
 				}
 			}
@@ -513,26 +474,35 @@ func (x *executor) runScriptChunk(kind roundKind, lvl int, seg *execSeg, lo, hi 
 			if hook != nil {
 				hook(op.Gate)
 			}
-			var prog bool
-			if comb1 {
-				ev0 := sc.events
-				if e.lanes > 1 {
-					prog = e.visitLaneScriptComb1(op, sc)
-				} else {
-					prog = e.visitScriptComb1(op, sc)
-				}
-				if sc.events == ev0 {
-					sc.visitsWMOnly++
-				}
-			} else {
-				prog = e.visitGate(op.Gate, sc)
-			}
-			if prog {
+			if e.visitGate(op, comb1, sc) {
 				*progress = true
 			}
 		}
 	}
 	return true
+}
+
+// visitGate dispatches one gate visit to its kernel: the compiled comb1
+// replay for comb1 segments, the generic interpreter otherwise, each in its
+// scalar or lane form. A visit that commits no events only moved
+// watermarks (or did nothing at all); those are tallied separately.
+func (e *Engine) visitGate(op *plan.ScriptOp, comb1 bool, sc *scratch) bool {
+	ev0 := sc.events
+	var prog bool
+	switch {
+	case comb1 && e.lanes > 1:
+		prog = e.visitLaneScriptComb1(op, sc)
+	case comb1:
+		prog = e.visitScriptComb1(op, sc)
+	case e.lanes > 1:
+		prog = e.visitLaneGate(op.Gate, sc)
+	default:
+		prog = e.visit(op.Gate, sc)
+	}
+	if sc.events == ev0 {
+		sc.visitsWMOnly++
+	}
+	return prog
 }
 
 // takeFailure returns and clears the contained-panic record of the last

@@ -14,7 +14,7 @@ import (
 //
 // When a net's watermark moves but the visit committed no new events, the
 // only thing a waiting reader would do with a visit is re-run its idle
-// expiry walk (idleComb1 and its script/lane twins). The predecessor of
+// expiry walk (idleScriptComb1 or its lane twin). The predecessor of
 // this file (watermark relax) already replaced those visits with direct
 // walks, but it still paid one reader-cloud scan per watermark move: every
 // quiet advance re-walked the net's fanout to stage or mark each reader.
@@ -35,11 +35,11 @@ import (
 // no edge pins, packed LUT) and, at walk time, a valid soft snapshot with
 // no unconsumed input events. Anything else — seq kernels, never-visited
 // gates, gates with events in flight — falls back to a normal dirty mark,
-// exactly the set the baseline would have marked (the detUntil >= wOld
-// frontier filter is applied on both paths), so committed event streams
-// stay bit-identical to Options.DisableFrontier by sweep confluence. Nets
-// with no eligible reader at all (plan.FrontNetNone) skip the plane
-// entirely and keep the baseline mark loop in markLoads.
+// exactly the set a per-reader mark loop would have marked (the detUntil
+// >= wOld frontier filter is applied on both paths), so committed event
+// streams are those of re-visiting every waiting reader, by sweep
+// confluence. Nets with no eligible reader at all (plan.FrontNetNone) skip
+// the plane entirely and keep the per-reader mark loop in markLoads.
 //
 // Two-tier worklist. Tier 1 stages nets, bucketed by plan.NetLevel; tier 2
 // stages the walkable gates the drain discovers, bucketed by
@@ -89,10 +89,8 @@ import (
 const frontierUnstaged = int64(math.MaxInt64)
 
 // frontierState is the engine's two-tier frontier worklist. All slices are
-// preallocated at construction; the zero value (frontier disabled) keeps
-// every field nil.
+// preallocated at construction (newFrontierState).
 type frontierState struct {
-	on bool
 	// serial is set when sweeps run on a single goroutine: net staging may
 	// then use plain stores, and drains may read visit-owned gate state
 	// (dirty bit, soft snapshot) without synchronization.
@@ -143,6 +141,54 @@ type frontierState struct {
 	// while it is set (the pool round has joined), so both fields are plain.
 	draining  bool
 	passDirty int64
+}
+
+// newFrontierState preallocates the frontier worklist for the plan.
+func newFrontierState(p *plan.Plan) frontierState {
+	var f frontierState
+	nets := len(p.Netlist.Nets)
+	f.netMark = make([]int64, nets)
+	for i := range f.netMark {
+		f.netMark[i] = frontierUnstaged
+	}
+	// One staging bucket per level in each tier, preallocated to the
+	// level's population — flag dedup guarantees a bucket can never
+	// overflow it. The buckets subslice two flat backing arrays so
+	// construction stays O(arrays), not O(levels) (TestNewFromPlanAllocs).
+	npop := make([]int64, p.NumNetLevels)
+	nTot := int64(0)
+	for nid := 0; nid < nets; nid++ {
+		if p.NetFront[nid] != plan.FrontNetNone {
+			npop[p.NetLevel[nid]]++
+			nTot++
+		}
+	}
+	f.nets = make([][]netlist.NetID, p.NumNetLevels)
+	nBack := make([]netlist.NetID, nTot)
+	for lv := range f.nets {
+		f.nets[lv], nBack = nBack[:npop[lv]:npop[lv]], nBack[npop[lv]:]
+	}
+	f.netLen = make([]int64, p.NumNetLevels)
+	// cellState pre-bakes each eligible gate's walk level next to the
+	// staged bit so the commit hot path never touches plan.FrontLevel.
+	f.cellState = make([]uint32, p.NumGates())
+	cpop := make([]int64, p.NumNetLevels)
+	cTot := int64(0)
+	for g := 0; g < p.NumGates(); g++ {
+		if p.FrontEligible[g] {
+			f.cellState[g] = uint32(p.FrontLevel[g]) << 1
+			cpop[p.FrontLevel[g]]++
+			cTot++
+		}
+	}
+	f.cells = make([][]netlist.CellID, p.NumNetLevels)
+	cBack := make([]netlist.CellID, cTot)
+	for lv := range f.cells {
+		f.cells[lv], cBack = cBack[:cpop[lv]:cpop[lv]], cBack[cpop[lv]:]
+	}
+	f.cellLen = make([]int64, p.NumNetLevels)
+	f.loLv = p.NumNetLevels
+	return f
 }
 
 // stageFrontierNet stages one watermark-only net advance: O(1) per move,
@@ -206,9 +252,6 @@ func (e *Engine) frontierNeedsVisit(cell netlist.CellID) bool {
 // once the pool round has joined — because the unsynchronized read is only
 // meaningful when no claimer can clear the bit concurrently.
 func (e *Engine) isDirty(cell netlist.CellID) bool {
-	if e.dirtyBits == nil {
-		return e.gate[cell].dirty.Load()
-	}
 	bit := e.p.BitOf[cell]
 	return e.dirtyBits[bit>>6]&(uint64(1)<<(uint(bit)&63)) != 0
 }
@@ -304,7 +347,7 @@ func (e *Engine) frontierPass(maxLv int) (dirtied int64, rec *panicRecord) {
 // once, staging each waiting unblocked reader for a walk and dirty-marking
 // the rest; mixed nets additionally scan their full fanout for the
 // ineligible readers the CSR excludes. The detUntil filter matches
-// markLoads' baseline boundary semantics exactly (inclusive at wOld).
+// markLoads' per-reader boundary semantics exactly (inclusive at wOld).
 func (e *Engine) frontierCommit(nid netlist.NetID, wOld int64) {
 	p := e.p
 	f := &e.front
@@ -373,20 +416,16 @@ func (e *Engine) frontierCell(cell netlist.CellID, cur *netlist.CellID, sc *scra
 	if hook := e.opts.GateHook; hook != nil {
 		hook(cell)
 	}
-	switch {
-	case e.lanes > 1:
-		// Lane mode always compiles scripts; the walk is the lane-word idle
-		// kernel, probing every lane per expiry.
-		sp := &p.Scripts[p.SegOf[cell]]
-		e.idleLaneScriptComb1(&sp.Ops[p.BitOf[cell]-sp.BitOff], sc)
-	case e.dirtyBits != nil:
-		// Compiled schedule: run the walk from the gate's script
-		// instruction — same pre-gathered operands the sweep uses, so the
-		// pass pays no per-gate plan lookups either.
-		sp := &p.Scripts[p.SegOf[cell]]
-		e.idleScriptComb1(&sp.Ops[p.BitOf[cell]-sp.BitOff], sc)
-	default:
-		e.idleComb1(cell, sc)
+	// The walk runs from the gate's script instruction — the same
+	// pre-gathered operands the sweep uses, so the pass pays no per-gate
+	// plan lookups either. Lane mode walks every lane per expiry.
+	sp := &p.Scripts[p.SegOf[cell]]
+	op := &sp.Ops[p.BitOf[cell]-sp.BitOff]
+	wm := loadWatermarks(sc, e.inQ[op.InBase:int(op.InBase)+int(op.NIn)])
+	if e.lanes > 1 {
+		e.idleLaneScriptComb1(op, wm, sc)
+	} else {
+		e.idleScriptComb1(op, wm, sc)
 	}
 	*cur = -1
 }
@@ -395,9 +434,6 @@ func (e *Engine) frontierCell(cell netlist.CellID, cur *netlist.CellID, sc *scra
 // belongs to the replaced world; markAllDirty re-derives everything).
 func (e *Engine) resetFrontier() {
 	f := &e.front
-	if !f.on {
-		return
-	}
 	for lv := range f.nets {
 		for _, nid := range f.nets[lv][:f.netLen[lv]] {
 			f.netMark[nid] = frontierUnstaged

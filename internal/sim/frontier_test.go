@@ -12,7 +12,6 @@ import (
 	"gatesim/internal/netlist"
 	"gatesim/internal/obs"
 	"gatesim/internal/plan"
-	"gatesim/internal/refsim"
 	"gatesim/internal/sdf"
 )
 
@@ -45,9 +44,8 @@ func runCollectSliced(t *testing.T, p *plan.Plan, stim []gen.Change, opts Option
 }
 
 // TestFrontierMixedEquivalence checks, on the mixed-kernel fixture under
-// sliced advances, that the frontier-enabled engine matches both the
-// reference simulator and the bit-exact A/B baseline (DisableFrontier)
-// across all execution modes, with and without compiled scripts.
+// sliced advances, that the engine matches the reference simulator across
+// all execution modes.
 func TestFrontierMixedEquivalence(t *testing.T) {
 	force4Procs(t)
 	nl, delays := mixedKernelDesign(t)
@@ -56,38 +54,16 @@ func TestFrontierMixedEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	stim := mixedKernelStim(nl, t)
-
-	ref, err := refsim.NewFromPlan(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := refsim.Collect{}
-	rstim := make([]refsim.Stim, len(stim))
-	for i, s := range stim {
-		rstim[i] = refsim.Stim{Net: s.Net, Time: s.Time, Val: s.Val}
-	}
-	if err := ref.Run(rstim, want.Add); err != nil {
-		t.Fatal(err)
-	}
-
+	want := refCollect(t, p, stim)
 	for _, mode := range []Mode{ModeSerial, ModeParallel, ModeManycore} {
-		for _, scripts := range []bool{false, true} {
-			opts := pooledOpts(mode)
-			opts.DisableScripts = !scripts
-			fronted := runCollectSliced(t, p, stim, opts, 2000, 30000)
-			label := fmt.Sprintf("mode=%v scripts=%v", mode, scripts)
-			diffStreams(t, nl, want, fronted, label+" frontier vs refsim")
-
-			opts.DisableFrontier = true
-			baseline := runCollectSliced(t, p, stim, opts, 2000, 30000)
-			diffStreams(t, nl, fronted, baseline, label+" frontier vs disabled")
-		}
+		got := runCollectSliced(t, p, stim, pooledOpts(mode), 2000, 30000)
+		diffStreams(t, nl, want, got, fmt.Sprintf("mode=%v sliced vs refsim", mode))
 	}
 }
 
-// TestFrontierGeneratedEquivalence repeats the frontier-on/off stream
+// TestFrontierGeneratedEquivalence repeats the sliced refsim stream
 // comparison on larger generated designs (FFs, latches, scan chains, clock
-// gates, deep comb clouds) across seeds, under sliced advances.
+// gates, deep comb clouds) across seeds.
 func TestFrontierGeneratedEquivalence(t *testing.T) {
 	force4Procs(t)
 	for seed := int64(0); seed < 3; seed++ {
@@ -101,12 +77,10 @@ func TestFrontierGeneratedEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		stim := gen.Stimuli(d, gen.StimSpec{Cycles: 20, ActivityFactor: 0.7, Seed: seed, ScanBurst: 5})
+		want := refCollect(t, p, stim)
 		for _, mode := range []Mode{ModeSerial, ModeParallel} {
-			opts := pooledOpts(mode)
-			fronted := runCollectSliced(t, p, stim, opts, 4000, 48000)
-			opts.DisableFrontier = true
-			baseline := runCollectSliced(t, p, stim, opts, 4000, 48000)
-			diffStreams(t, d.Netlist, fronted, baseline, fmt.Sprintf("seed=%d mode=%v frontier vs disabled", seed, mode))
+			got := runCollectSliced(t, p, stim, pooledOpts(mode), 4000, 48000)
+			diffStreams(t, d.Netlist, want, got, fmt.Sprintf("seed=%d mode=%v sliced vs refsim", seed, mode))
 		}
 	}
 }
@@ -148,9 +122,10 @@ func cellByName(t *testing.T, nl *netlist.Netlist, name string) netlist.CellID {
 // advance against DeterminedUntil's exclusive semantics (event/queue.go): a
 // reader whose determination frontier sits exactly at the old watermark was
 // blocked on precisely the first newly-determined instant and must be
-// marked; a reader one below it was stalled on something else and must not
-// be. The frontier plane applies the same boundary at commit time, against
-// the minimum folded watermark of the coalesced moves.
+// woken; a reader one below it was stalled on something else and must not
+// be. The frontier commit applies the boundary against the minimum folded
+// watermark of the coalesced moves — dirty-marking readers that need a
+// real visit, staging quiet ones for a walk.
 func TestMarkLoadsBoundary(t *testing.T) {
 	nl, delays := frontierBoundaryFixture(t)
 	p, err := plan.Build(nl, testLib, delays)
@@ -161,59 +136,59 @@ func TestMarkLoadsBoundary(t *testing.T) {
 	if !ok {
 		t.Fatal("net n0 missing")
 	}
-
-	// Flag-based marks (DisableScripts) so the dirty state is directly
-	// observable; frontier disabled to exercise the baseline branch.
-	e, err := NewFromPlan(p, Options{Mode: ModeSerial, DisableScripts: true, DisableFrontier: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	invA, invB := cellByName(t, nl, "invA"), cellByName(t, nl, "invB")
-
-	const wOld = 100
-	setup := func() {
-		for _, c := range []netlist.CellID{invA, invB} {
-			e.gate[c].dirty.Store(false)
-		}
-		e.gate[invA].detUntil.Store(wOld)     // waiting exactly at the old watermark
-		e.gate[invB].detUntil.Store(wOld - 1) // stalled below it, on something else
-	}
-
-	setup()
-	e.markLoads(n0, wOld, false)
-	if !e.gate[invA].dirty.Load() {
-		t.Error("reader with detUntil == wOld not marked by a watermark-only advance")
-	}
-	if e.gate[invB].dirty.Load() {
-		t.Error("reader with detUntil == wOld-1 marked by a watermark-only advance")
-	}
-
-	// New events wake every reader regardless of frontier.
-	setup()
-	e.markLoads(n0, wOld, true)
-	if !e.gate[invA].dirty.Load() || !e.gate[invB].dirty.Load() {
-		t.Error("new events must mark every reader")
-	}
-
-	// The frontier path stages the *net*, not its readers: one O(1) staging
-	// per watermark move, deduped by the netMark staged encoding, with
-	// repeated moves min-folding
-	// the old watermark onto the same staging. The reader boundary is applied
-	// later, by the drain's frontierCommit, against the folded minimum. The
-	// engine is run to completion first so the readers hold a quiet soft
-	// snapshot — a reader that still needs a real visit is marked, not staged.
+	// Run to completion first so the readers hold a quiet soft snapshot.
 	r, err := NewFromPlan(p, Options{Mode: ModeSerial})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if !r.front.on {
-		t.Fatal("frontier not armed on a default engine")
-	}
 	if err := r.Finish(); err != nil {
 		t.Fatal(err)
 	}
+	rA, rB := cellByName(t, nl, "invA"), cellByName(t, nl, "invB")
+
+	const wOld = 100
+	setup := func(blocked bool) {
+		for i := range r.dirtyBits {
+			r.dirtyBits[i] = 0
+		}
+		for i := range r.segDirty {
+			r.segDirty[i] = 0
+		}
+		for _, c := range []netlist.CellID{rA, rB} {
+			r.gate[c].blocked = blocked
+		}
+		r.gate[rA].detUntil.Store(wOld)     // waiting exactly at the old watermark
+		r.gate[rB].detUntil.Store(wOld - 1) // stalled below it, on something else
+	}
+
+	// Readers with unconsumed input events need a real visit: the commit
+	// dirty-marks them, through the bitset, on the same boundary.
+	setup(true)
+	r.frontierCommit(n0, wOld)
+	if !r.isDirty(rA) {
+		t.Error("blocked reader with detUntil == wOld not marked by the frontier commit")
+	}
+	if r.isDirty(rB) {
+		t.Error("blocked reader with detUntil == wOld-1 marked by the frontier commit")
+	}
+	if got := r.segDirty[p.SegOf[rA]]; got != 1 {
+		t.Errorf("segment dirty population = %d after one mark, want 1", got)
+	}
+
+	// New events wake every reader regardless of frontier.
+	setup(false)
+	r.markLoads(n0, wOld, true)
+	if !r.isDirty(rA) || !r.isDirty(rB) {
+		t.Error("new events must mark every reader")
+	}
+	setup(false)
+
+	// A watermark-only move stages the *net*, not its readers: one O(1)
+	// staging per watermark move, deduped by the netMark staged encoding,
+	// with repeated moves min-folding the old watermark onto the same
+	// staging. The reader boundary is applied later, by the drain's
+	// frontierCommit, against the folded minimum.
 	stagedNets := func() (n int64) {
 		for _, l := range r.front.netLen {
 			n += l
@@ -226,10 +201,6 @@ func TestMarkLoadsBoundary(t *testing.T) {
 		}
 		return n
 	}
-	rA, rB := cellByName(t, nl, "invA"), cellByName(t, nl, "invB")
-	r.gate[rA].detUntil.Store(wOld)
-	r.gate[rB].detUntil.Store(wOld - 1)
-
 	r.markLoads(n0, wOld, false)
 	if got := stagedNets(); got != 1 {
 		t.Fatalf("staged nets = %d after one watermark-only advance, want 1", got)
@@ -252,7 +223,7 @@ func TestMarkLoadsBoundary(t *testing.T) {
 	}
 
 	// Drain the staging by hand, the way frontierPass does, and check the
-	// commit applies the baseline boundary to the eligible reader cloud:
+	// commit applies the same boundary to the quiet eligible reader cloud:
 	// the reader at the folded mark is staged for a walk, the reader below
 	// it is untouched, and restaging is deduped by the cellState staged bit.
 	w := r.front.netMark[n0]
@@ -273,11 +244,10 @@ func TestMarkLoadsBoundary(t *testing.T) {
 	}
 }
 
-// TestFrontierCounters checks the new observability: FrontierCommits counts
-// drained net stagings, QueriesSaved counts LUT probes the determinedness
-// memo skipped, VisitsWatermarkOnly counts visits that committed no events,
-// the obs counters mirror the Stats fields, and the A/B switch really turns
-// the plane off.
+// TestFrontierCounters checks the frontier observability: FrontierCommits
+// counts drained net stagings, QueriesSaved counts LUT probes the
+// determinedness memo skipped, VisitsWatermarkOnly counts visits that
+// committed no events, and the obs counters mirror the Stats fields.
 func TestFrontierCounters(t *testing.T) {
 	nl, delays := mixedKernelDesign(t)
 	p, err := plan.Build(nl, testLib, delays)
@@ -329,26 +299,6 @@ func TestFrontierCounters(t *testing.T) {
 		t.Errorf("sim.visits_watermark_only counter = %d, Stats = %d", got, st.VisitsWatermarkOnly)
 	}
 
-	off, err := NewFromPlan(p, Options{Mode: ModeSerial, DisableFrontier: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer off.Close()
-	for _, s := range stim {
-		if err := off.Inject(s.Net, s.Time, s.Val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := off.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	ost := off.Stats()
-	if ost.FrontierCommits != 0 {
-		t.Errorf("DisableFrontier still committed %d nets", ost.FrontierCommits)
-	}
-	if ost.QueriesSaved != 0 {
-		t.Errorf("DisableFrontier still saved %d queries (memo only runs on walks)", ost.QueriesSaved)
-	}
 }
 
 // TestFrontierSegmentSkipNoLostWakeup is the clean-segment interplay proof:
@@ -356,8 +306,8 @@ func TestFrontierCounters(t *testing.T) {
 // staged frontier entry. Multi-slice pooled and manycore runs on a
 // generated design must both commit frontier nets and (on the
 // dirty-filtered path) skip segments, while the committed streams stay
-// identical to the frontier-off baseline — a stranded staging would leave a
-// frontier behind and diverge. Run under -race via scripts/check.sh.
+// identical to the reference simulator's — a stranded staging would leave
+// a frontier behind and diverge. Run under -race via scripts/check.sh.
 func TestFrontierSegmentSkipNoLostWakeup(t *testing.T) {
 	force4Procs(t)
 	d, err := gen.Build(smallSpec(1234))
@@ -371,9 +321,7 @@ func TestFrontierSegmentSkipNoLostWakeup(t *testing.T) {
 	}
 	stim := gen.Stimuli(d, gen.StimSpec{Cycles: 20, ActivityFactor: 0.5, Seed: 9, ScanBurst: 5})
 
-	baseOpts := pooledOpts(ModeParallel)
-	baseOpts.DisableFrontier = true
-	baseline := runCollectSliced(t, p, stim, baseOpts, 4000, 48000)
+	want := refCollect(t, p, stim)
 
 	for _, mode := range []Mode{ModeParallel, ModeManycore} {
 		opts := pooledOpts(mode)
@@ -403,7 +351,7 @@ func TestFrontierSegmentSkipNoLostWakeup(t *testing.T) {
 		if mode == ModeParallel && st.SegmentsSkipped == 0 {
 			t.Error("pooled run skipped no segments; fixture does not exercise the interplay")
 		}
-		diffStreams(t, d.Netlist, baseline, collectEngine(e), fmt.Sprintf("mode=%v frontier+skips vs baseline", mode))
+		diffStreams(t, d.Netlist, want, collectEngine(e), fmt.Sprintf("mode=%v frontier+skips vs refsim", mode))
 		for nid := range d.Netlist.Nets {
 			if w := e.Events(netlist.NetID(nid)).DeterminedUntil(); w != TimeInf {
 				t.Fatalf("mode=%v: net %s watermark %d after Finish; a wakeup was lost", mode, d.Netlist.Nets[nid].Name, w)
@@ -413,73 +361,26 @@ func TestFrontierSegmentSkipNoLostWakeup(t *testing.T) {
 	}
 }
 
-// TestFrontierLaneEquivalence lifts the old "lane mode forces relaxation
-// off" restriction: a lane run with the frontier plane on must produce
-// per-lane streams byte-identical to the DisableFrontier baseline on every
-// net and every lane, and the plane must actually engage (commits counted)
-// so the comparison is not vacuous.
+// TestFrontierLaneEquivalence runs the frontier plane in lane mode: with
+// half-clock slices forcing watermark-only advances between stimulus
+// bursts, every lane's stream on every net must match a reference run of
+// that lane's stimulus alone, and the plane must actually engage (commits
+// counted) so the comparison is not vacuous.
 func TestFrontierLaneEquivalence(t *testing.T) {
 	d, err := gen.Build(smallSpec(4321))
 	if err != nil {
 		t.Fatal(err)
 	}
-	delays := gen.Delays(d, 7)
-	const lanes = 8
-	perLaneG := gen.LaneStimuli(d, gen.StimSpec{Cycles: 15, ActivityFactor: 0.6, Seed: 3, ScanBurst: 5}, lanes)
-	perLane := make([][]Change, lanes)
-	for l, cs := range perLaneG {
-		perLane[l] = make([]Change, len(cs))
-		for i, c := range cs {
-			perLane[l][i] = Change{Net: c.Net, Time: c.Time, Val: c.Val}
-		}
-	}
-	merged, err := MergeLaneChanges(perLane)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	run := func(opts Options) *Engine {
-		t.Helper()
-		opts.Lanes = lanes
-		e, err := New(d.Netlist, testLib, delays, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A small slice forces watermark-only advances between stimulus
-		// bursts, which is what stages frontier nets.
-		if err := e.RunLaneStream(merged, LaneStreamConfig{SlicePS: d.Spec.ClockPeriodPS / 2}); err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	on := run(Options{Mode: ModeSerial})
-	defer on.Close()
-	off := run(Options{Mode: ModeSerial, DisableFrontier: true})
-	defer off.Close()
-	if on.Stats().FrontierCommits == 0 {
-		t.Error("lane run committed no frontier nets; the lane lift is untested")
-	}
-	for nid := range d.Netlist.Nets {
-		for l := 0; l < lanes; l++ {
-			got := on.LaneEvents(netlist.NetID(nid), l)
-			want := off.LaneEvents(netlist.NetID(nid), l)
-			if len(got) != len(want) {
-				t.Fatalf("net %s lane %d: frontier %d events vs baseline %d\nwant %v\ngot  %v",
-					d.Netlist.Nets[nid].Name, l, len(got), len(want), want, got)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("net %s lane %d event %d: got %+v want %+v",
-						d.Netlist.Nets[nid].Name, l, i, got[i], want[i])
-				}
-			}
-		}
+	spec := gen.StimSpec{Cycles: 15, ActivityFactor: 0.6, Seed: 3, ScanBurst: 5}
+	st := checkLaneVsRefsim(t, d, spec, 8, d.Spec.ClockPeriodPS/2, Options{Mode: ModeSerial})
+	if st.FrontierCommits == 0 {
+		t.Error("lane run committed no frontier nets; the lane frontier is untested")
 	}
 }
 
-// FuzzFrontier builds random comb1-only netlists and checks the
-// frontier-enabled engine against the DisableFrontier baseline under sliced
-// advances: the committed event streams must be byte-identical.
+// FuzzFrontier builds random comb1-only netlists and checks the engine
+// under sliced advances — the frontier plane's workload — against the
+// reference simulator: the committed event streams must be byte-identical.
 func FuzzFrontier(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 2, 2, 0, 5})
 	f.Add([]byte{1, 4, 1, 7, 2, 9, 0, 2, 1, 3, 2, 8, 0, 1, 1, 6})
@@ -509,7 +410,6 @@ func FuzzFrontier(f *testing.F) {
 		}
 		slice := int64(700 + 300*int(data[len(data)-1]%5))
 		fronted := runCollectSliced(t, p, stim, Options{Mode: ModeSerial}, slice, 12000)
-		baseline := runCollectSliced(t, p, stim, Options{Mode: ModeSerial, DisableFrontier: true}, slice, 12000)
-		diffStreams(t, nl, fronted, baseline, "fuzz frontier vs disabled")
+		diffStreams(t, nl, refCollect(t, p, stim), fronted, "fuzz frontier vs refsim")
 	})
 }

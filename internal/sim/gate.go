@@ -1,6 +1,7 @@
 package sim
 
 import (
+	mathbits "math/bits"
 	"sync/atomic"
 
 	"gatesim/internal/event"
@@ -9,6 +10,7 @@ import (
 	"gatesim/internal/netlist"
 	"gatesim/internal/plan"
 	"gatesim/internal/sched"
+	"gatesim/internal/sdf"
 	"gatesim/internal/truthtab"
 )
 
@@ -71,8 +73,6 @@ type gateState struct {
 	// stop rule off while a stable feedback ring creeps its watermarks one
 	// arc delay per sweep, forever.
 	futureMin int64
-
-	dirty atomic.Bool
 }
 
 // scratch is per-worker reusable visit state, sized for the largest gate.
@@ -99,10 +99,11 @@ type scratch struct {
 	laneQOuts  []logic.Value // [out*lanes + lane]
 	laneQNext  []logic.Value // [state*lanes + lane]
 	lanePendK  []int         // [lane] soft-pend commit prefix counters
-	// wm is the per-walk input watermark snapshot for the idle kernels: one
-	// coherent read per input per walk instead of one atomic load per input
-	// per expiry (conservative under concurrent advancement — a fresher
-	// watermark is picked up by the staging its move files).
+	// wm is the per-visit input watermark snapshot (see loadWatermarks):
+	// one coherent read per input per visit or idle walk instead of one
+	// atomic load per input per change point (conservative under
+	// concurrent advancement — a fresher watermark is picked up by the
+	// mark or staging its move files).
 	wm []int64
 	// visit counters, split per kernel class and merged into Engine.stats at
 	// sweep end to avoid atomic traffic in the hot loop. visitsWMOnly
@@ -146,9 +147,184 @@ func newScratch(e *Engine) *scratch {
 	return sc
 }
 
+// loadWatermarks snapshots the gate's input watermarks into sc.wm; a visit
+// takes it before reading any input queue and uses it throughout, idle
+// walk included. Under pool workers a driver in the same fused level group
+// may commit while the visit runs, but it appends its events before it
+// publishes the watermark that covers them, so every event below a loaded
+// watermark is visible to the queue reads that follow. The visit's view of
+// each input is therefore its events below the snapshot and U from the
+// snapshot on: an event at or past it (appended since) is left for the
+// visit the driver's mark schedules. A watermark read after the queue
+// could cover events the visit never saw, and an event past the watermark
+// would be consumed without the expiry that must follow it. On one
+// goroutine every event already lies below its net's watermark.
+func loadWatermarks(sc *scratch, inQ []*event.Queue) []int64 {
+	wm := sc.wm[:len(inQ)]
+	for i, q := range inQ {
+		wm[i] = q.DeterminedUntil()
+	}
+	return wm
+}
+
+// softResume reports whether a visit may resume from the gate's soft
+// snapshot — sound when no unconsumed input event lies below the snapshot
+// point — and, if so, whether the visit is idle: with no unconsumed input
+// events at all only watermark expiries can matter, and a determined expiry
+// query provably changes nothing, so the idle walk serves the visit.
+func softResume(g *gateState, inQ []*event.Queue, softCur []int64) (resume, idle bool) {
+	if !g.softValid {
+		return false, false
+	}
+	idle = true
+	for i, q := range inQ {
+		if softCur[i] < q.Len() {
+			idle = false
+			if q.MustAt(softCur[i]).Time < g.softNow {
+				return false, false
+			}
+		}
+	}
+	return true, idle
+}
+
+// eventDelay is the delay a consumed change point schedules the new output
+// value nv with: the fastest arc, for nv, among the inputs changing there
+// (evIn indexes arcs, the output's per-input arcs).
+func eventDelay(arcs []sdf.Delay, evIn []int, nv logic.Value) int64 {
+	d := int64(1) << 62
+	for _, i := range evIn {
+		d = min(d, sched.DelayFor(arcs[i], nv))
+	}
+	return d
+}
+
+// expiredFaster is the delay guard of a change point t that consumes input
+// events and changes an output to nv through delay d. An expired input (a
+// bit of exp: t is at or past its watermark) may still receive an event at
+// exactly t, and then the reference semantics schedule nv through the
+// fastest arc of every input changing at t. If any expired input has an
+// arc for nv strictly faster than d, the visit must stop at t (detUntil =
+// t) until that input's watermark passes t.
+func expiredFaster(arcs []sdf.Delay, exp uint32, nv logic.Value, d int64) bool {
+	for m := exp; m != 0; m &= m - 1 {
+		if sched.DelayFor(arcs[mathbits.TrailingZeros32(m)], nv) < d {
+			return true
+		}
+	}
+	return false
+}
+
+// outLimit is the watermark a visit that stopped at detUntil publishes on
+// an output whose fastest arc is minArc: every transition a change point
+// at or after detUntil can schedule lands at or beyond it.
+func outLimit(detUntil, minArc int64) int64 {
+	if detUntil >= TimeInf {
+		return TimeInf
+	}
+	return min(detUntil+minArc, TimeInf)
+}
+
+// commitOutput appends out's pending transitions below limit to the output
+// slot's net — skipping replay duplicates at or below committedUntil — and
+// reports whether it appended any.
+func (e *Engine) commitOutput(outSlot int, out *sched.Output, limit int64, sc *scratch) bool {
+	q := e.outQ[outSlot]
+	newEvents := false
+	for {
+		te, ok := out.NextPending()
+		if !ok || te >= limit {
+			return newEvents
+		}
+		ev := out.PopFront()
+		if ev.Time > e.committedUntil[outSlot] {
+			if q != nil {
+				q.Append(ev.Time, ev.Val)
+				newEvents = true
+				sc.events++
+			}
+			e.lastCommitted[outSlot] = ev.Val
+		}
+	}
+}
+
+// commitSoftPend is commitOutput over the slot's saved soft-pending list
+// (the idle walks, which have no live sched.Output): the prefix below limit
+// is committed and compacted away.
+func (e *Engine) commitSoftPend(outSlot int, limit int64, sc *scratch) bool {
+	q := e.outQ[outSlot]
+	newEvents := false
+	pend := e.softPend[outSlot]
+	k := 0
+	for k < len(pend) && pend[k].Time < limit {
+		ev := pend[k]
+		k++
+		if ev.Time > e.committedUntil[outSlot] {
+			if q != nil {
+				q.Append(ev.Time, ev.Val)
+				newEvents = true
+				sc.events++
+			}
+			e.lastCommitted[outSlot] = ev.Val
+		}
+	}
+	if k > 0 {
+		e.softPend[outSlot] = append(pend[:0], pend[k:]...)
+	}
+	return newEvents
+}
+
+// publish is the tail of every visit and idle walk, once per output after
+// its transitions below limit were committed (newEvents reports whether
+// any were appended): it records the output as committed through limit-1,
+// advances the output net nid's watermark to limit, and wakes its readers.
+// It reports whether anything downstream-visible changed.
+func (e *Engine) publish(outSlot int, nid netlist.NetID, limit int64, newEvents bool) bool {
+	if limit-1 > e.committedUntil[outSlot] {
+		e.committedUntil[outSlot] = limit - 1
+	}
+	wOld := int64(-1)
+	if q := e.outQ[outSlot]; q != nil && q.DeterminedUntil() < limit {
+		wOld = q.DeterminedUntil()
+		q.SetDeterminedUntil(limit)
+	}
+	if !newEvents && wOld < 0 {
+		return false
+	}
+	e.markLoads(nid, wOld, newEvents)
+	return true
+}
+
+// pendMin folds the earliest transition of a pending list (strictly
+// increasing in time) into futureMin.
+func pendMin(pend []event.Event, futureMin int64) int64 {
+	if len(pend) > 0 && pend[0].Time < futureMin {
+		return pend[0].Time
+	}
+	return futureMin
+}
+
+// inputFutureMin folds the earliest unconsumed input event into futureMin
+// and reports whether any input event is left unconsumed (see
+// gateState.blocked).
+func inputFutureMin(sc *scratch, inQ []*event.Queue, futureMin int64) (int64, bool) {
+	blocked := false
+	for i, q := range inQ {
+		if sc.cur[i].Idx < q.Len() {
+			blocked = true
+			if et := sc.cur[i].Peek(q).Time; et < futureMin {
+				futureMin = et
+			}
+		}
+	}
+	return futureMin, blocked
+}
+
 // visit replays the gate's change points from its base checkpoint, commits
 // newly determined output events, and advances output watermarks. It
-// returns true when anything downstream-visible changed.
+// returns true when anything downstream-visible changed. It is the generic
+// interpreter every non-comb1 gate (sequential cells, multi-output cells)
+// runs.
 func (e *Engine) visit(id netlist.CellID, sc *scratch) bool {
 	p := e.p
 	g := &e.gate[id]
@@ -159,36 +335,17 @@ func (e *Engine) visit(id netlist.CellID, sc *scratch) bool {
 	stB := int(p.StateOff[id])
 	ns := int(p.StateOff[id+1]) - stB
 	tab := p.Tables[p.TableOf[id]]
-	arcB := int(p.ArcOff[id])
+	arcs := p.Arcs[p.ArcOff[id]:p.ArcOff[id+1]]
 	inQ := e.inQ[inB : inB+ni]
-	outQ := e.outQ[outB : outB+no]
 	softCur := e.softCur[inB : inB+ni]
 	lastCommitted := e.lastCommitted[outB : outB+no]
-	committedUntil := e.committedUntil[outB : outB+no]
 	softPend := e.softPend[outB : outB+no]
-	minArc := p.MinArc[outB : outB+no]
 	sc.visits[truthtab.ClassSeq]++
 
-	// Resume from the soft snapshot when sound: no unconsumed event may lie
-	// below the snapshot point. If additionally there are no unconsumed
-	// events at all, take the idle fast path: only watermark expiries can
-	// matter, and a determined expiry query provably changes nothing.
-	resume := g.softValid
-	idle := resume
-	if resume {
-		for i := 0; i < ni; i++ {
-			q := inQ[i]
-			if softCur[i] < q.Len() {
-				idle = false
-				if q.MustAt(softCur[i]).Time < g.softNow {
-					resume = false
-					break
-				}
-			}
-		}
-	}
+	wm := loadWatermarks(sc, inQ)
+	resume, idle := softResume(g, inQ, softCur)
 	if resume && idle {
-		return e.idleVisit(id, sc)
+		return e.idleVisit(id, wm, sc)
 	}
 	var now int64
 	if resume {
@@ -215,18 +372,19 @@ func (e *Engine) visit(id netlist.CellID, sc *scratch) bool {
 		now = g.baseNow
 	}
 	detUntil := TimeInf
+replay:
 	for {
-		// Next change point: earliest unconsumed event or stable-time
-		// expiry strictly after `now`.
+		// Next change point: earliest unconsumed event below its input's
+		// watermark snapshot, or stable-time expiry strictly after `now`.
 		t := TimeInf
 		for i := 0; i < ni; i++ {
 			q := inQ[i]
 			if sc.cur[i].Idx < q.Len() {
-				if et := sc.cur[i].Peek(q).Time; et < t {
+				if et := sc.cur[i].Peek(q).Time; et < t && et < wm[i] {
 					t = et
 				}
 			}
-			if w := q.DeterminedUntil(); w > now && w < t {
+			if w := wm[i]; w > now && w < t {
 				t = w
 			}
 		}
@@ -234,11 +392,12 @@ func (e *Engine) visit(id netlist.CellID, sc *scratch) bool {
 			break
 		}
 
-		// Build the query vector.
+		// Build the query vector; exp collects the expired inputs.
+		var exp uint32
 		sc.evIn = sc.evIn[:0]
 		for i := 0; i < ni; i++ {
 			q := inQ[i]
-			if sc.cur[i].Idx < q.Len() {
+			if t < wm[i] && sc.cur[i].Idx < q.Len() {
 				if ev := sc.cur[i].Peek(q); ev.Time == t {
 					if tab.EdgeSensitive[i] {
 						sc.qIns[i] = logic.EdgeCode(sc.vals[i], ev.Val)
@@ -249,8 +408,9 @@ func (e *Engine) visit(id netlist.CellID, sc *scratch) bool {
 					continue
 				}
 			}
-			if t >= q.DeterminedUntil() {
+			if t >= wm[i] {
 				sc.qIns[i] = logic.VU
+				exp |= 1 << uint(i)
 			} else {
 				sc.qIns[i] = sc.vals[i]
 			}
@@ -258,41 +418,35 @@ func (e *Engine) visit(id netlist.CellID, sc *scratch) bool {
 		tab.LookupInto(sc.qIns[:ni], sc.states[:ns], sc.qOuts[:no], sc.qNext[:ns])
 		sc.queries[truthtab.ClassSeq]++
 
-		undet := false
 		for _, v := range sc.qOuts[:no] {
 			if v == logic.VU {
-				undet = true
-				break
+				detUntil = t
+				break replay
 			}
 		}
-		if !undet {
-			for _, v := range sc.qNext[:ns] {
-				if v == logic.VU {
-					undet = true
-					break
-				}
+		for _, v := range sc.qNext[:ns] {
+			if v == logic.VU {
+				detUntil = t
+				break replay
 			}
-		}
-		if undet {
-			detUntil = t
-			break
 		}
 
 		// Consume the change point into scratch.
 		if len(sc.evIn) > 0 {
-			for o := 0; o < no; o++ {
-				nv := sc.qOuts[o]
-				if nv == sc.sem[o] {
-					continue
-				}
-				d := int64(1) << 62
-				for _, i := range sc.evIn {
-					if ad := sched.DelayFor(p.Arcs[arcB+o*ni+i], nv); ad < d {
-						d = ad
+			for o := 0; o < no && exp != 0; o++ {
+				if nv := sc.qOuts[o]; nv != sc.sem[o] {
+					oArcs := arcs[o*ni : (o+1)*ni]
+					if expiredFaster(oArcs, exp, nv, eventDelay(oArcs, sc.evIn, nv)) {
+						detUntil = t
+						break replay
 					}
 				}
-				sc.outs[o].Schedule(t+d, nv)
-				sc.sem[o] = nv
+			}
+			for o := 0; o < no; o++ {
+				if nv := sc.qOuts[o]; nv != sc.sem[o] {
+					sc.outs[o].Schedule(t+eventDelay(arcs[o*ni:(o+1)*ni], sc.evIn, nv), nv)
+					sc.sem[o] = nv
+				}
 			}
 			for _, i := range sc.evIn {
 				sc.vals[i] = sc.cur[i].Peek(inQ[i]).Val.Settle()
@@ -306,60 +460,15 @@ func (e *Engine) visit(id netlist.CellID, sc *scratch) bool {
 
 	// Commit determined output transitions and advance watermarks.
 	progress := false
-	for o := 0; o < no; o++ {
-		limit := detUntil
-		if limit < TimeInf {
-			limit += minArc[o]
-			if limit > TimeInf {
-				limit = TimeInf
-			}
-		}
-		commitThrough := limit - 1
-		q := outQ[o]
-		newEvents := false
-		for {
-			te, ok := sc.outs[o].NextPending()
-			if !ok || te > commitThrough {
-				break
-			}
-			ev := sc.outs[o].PopFront()
-			if ev.Time > committedUntil[o] {
-				if q != nil {
-					q.Append(ev.Time, ev.Val)
-					newEvents = true
-					sc.events++
-				}
-				lastCommitted[o] = ev.Val
-			}
-		}
-		if commitThrough > committedUntil[o] {
-			committedUntil[o] = commitThrough
-		}
-		wOld := int64(-1)
-		if q != nil && q.DeterminedUntil() < limit {
-			wOld = q.DeterminedUntil()
-			q.SetDeterminedUntil(limit)
-		}
-		if newEvents || wOld >= 0 {
-			progress = true
-			e.markLoads(p.OutNet[outB+o], wOld, newEvents)
-		}
-	}
-
 	futureMin := int64(TimeInf)
 	for o := 0; o < no; o++ {
-		if te, ok := sc.outs[o].NextPending(); ok && te < futureMin {
-			futureMin = te
+		limit := outLimit(detUntil, p.MinArc[outB+o])
+		if e.publish(outB+o, p.OutNet[outB+o], limit, e.commitOutput(outB+o, &sc.outs[o], limit, sc)) {
+			progress = true
 		}
+		futureMin = pendMin(sc.outs[o].Pend(), futureMin)
 	}
-	for i := 0; i < ni; i++ {
-		if sc.cur[i].Idx < inQ[i].Len() {
-			if et := sc.cur[i].Peek(inQ[i]).Time; et < futureMin {
-				futureMin = et
-			}
-		}
-	}
-	g.futureMin = futureMin
+	g.futureMin, g.blocked = inputFutureMin(sc, inQ, futureMin)
 
 	// Save the soft snapshot for the next visit.
 	g.softNow = now
@@ -381,7 +490,7 @@ func (e *Engine) visit(id netlist.CellID, sc *scratch) bool {
 // and states cannot change without events — any determined expiry outcome
 // must agree with the "nothing happened" refinement), commits pending
 // transitions that the advancing frontier finalizes, and bumps watermarks.
-func (e *Engine) idleVisit(id netlist.CellID, sc *scratch) bool {
+func (e *Engine) idleVisit(id netlist.CellID, wm []int64, sc *scratch) bool {
 	p := e.p
 	g := &e.gate[id]
 	inB := int(p.InOff[id])
@@ -391,19 +500,14 @@ func (e *Engine) idleVisit(id netlist.CellID, sc *scratch) bool {
 	stB := int(p.StateOff[id])
 	ns := int(p.StateOff[id+1]) - stB
 	tab := p.Tables[p.TableOf[id]]
-	inQ := e.inQ[inB : inB+ni]
-	outQ := e.outQ[outB : outB+no]
-	lastCommitted := e.lastCommitted[outB : outB+no]
-	committedUntil := e.committedUntil[outB : outB+no]
-	softPend := e.softPend[outB : outB+no]
-	minArc := p.MinArc[outB : outB+no]
 
 	now := g.softNow
 	detUntil := TimeInf
+walk:
 	for {
 		t := int64(TimeInf)
 		for i := 0; i < ni; i++ {
-			if w := inQ[i].DeterminedUntil(); w > now && w < t {
+			if w := wm[i]; w > now && w < t {
 				t = w
 			}
 		}
@@ -411,7 +515,7 @@ func (e *Engine) idleVisit(id netlist.CellID, sc *scratch) bool {
 			break
 		}
 		for i := 0; i < ni; i++ {
-			if t >= inQ[i].DeterminedUntil() {
+			if t >= wm[i] {
 				sc.qIns[i] = logic.VU
 			} else {
 				sc.qIns[i] = e.softVals[inB+i]
@@ -419,24 +523,17 @@ func (e *Engine) idleVisit(id netlist.CellID, sc *scratch) bool {
 		}
 		tab.LookupInto(sc.qIns[:ni], e.softStates[stB:stB+ns], sc.qOuts[:no], sc.qNext[:ns])
 		sc.queries[truthtab.ClassSeq]++
-		undet := false
 		for _, v := range sc.qOuts[:no] {
 			if v == logic.VU {
-				undet = true
-				break
+				detUntil = t
+				break walk
 			}
 		}
-		if !undet {
-			for _, v := range sc.qNext[:ns] {
-				if v == logic.VU {
-					undet = true
-					break
-				}
+		for _, v := range sc.qNext[:ns] {
+			if v == logic.VU {
+				detUntil = t
+				break walk
 			}
-		}
-		if undet {
-			detUntil = t
-			break
 		}
 		now = t
 	}
@@ -444,55 +541,13 @@ func (e *Engine) idleVisit(id netlist.CellID, sc *scratch) bool {
 	g.detUntil.Store(detUntil)
 
 	progress := false
-	for o := 0; o < no; o++ {
-		limit := detUntil
-		if limit < TimeInf {
-			limit += minArc[o]
-			if limit > TimeInf {
-				limit = TimeInf
-			}
-		}
-		commitThrough := limit - 1
-		q := outQ[o]
-		newEvents := false
-		pend := softPend[o]
-		k := 0
-		for k < len(pend) && pend[k].Time <= commitThrough {
-			ev := pend[k]
-			k++
-			if ev.Time > committedUntil[o] {
-				if q != nil {
-					q.Append(ev.Time, ev.Val)
-					newEvents = true
-					sc.events++
-				}
-				lastCommitted[o] = ev.Val
-			}
-		}
-		if k > 0 {
-			softPend[o] = append(pend[:0], pend[k:]...)
-		}
-		if commitThrough > committedUntil[o] {
-			committedUntil[o] = commitThrough
-		}
-		wOld := int64(-1)
-		if q != nil && q.DeterminedUntil() < limit {
-			wOld = q.DeterminedUntil()
-			q.SetDeterminedUntil(limit)
-		}
-		if newEvents || wOld >= 0 {
-			progress = true
-			e.markLoads(p.OutNet[outB+o], wOld, newEvents)
-		}
-	}
-
 	futureMin := int64(TimeInf)
-	for o := 0; o < no; o++ {
-		for _, ev := range softPend[o] {
-			if ev.Time < futureMin {
-				futureMin = ev.Time
-			}
+	for o := outB; o < outB+no; o++ {
+		limit := outLimit(detUntil, p.MinArc[o])
+		if e.publish(o, p.OutNet[o], limit, e.commitSoftPend(o, limit, sc)) {
+			progress = true
 		}
+		futureMin = pendMin(e.softPend[o], futureMin)
 	}
 	g.futureMin = futureMin
 	return progress
@@ -512,18 +567,17 @@ func (e *Engine) idleVisit(id netlist.CellID, sc *scratch) bool {
 // else (another input, or a pending output this net cannot finalize) and
 // the advance cannot unblock it. TestMarkLoadsBoundary pins both sides.
 //
-// With the frontier plane on, a watermark-only advance does not scan the
-// readers at all: the net is staged in O(1) on the frontier worklist —
+// A watermark-only advance does not scan the readers at all: the net is staged in O(1) on the frontier worklist —
 // repeated moves coalesce onto one staging carrying their minimum wOld —
 // and the drain publishes the accumulated advance to the whole reader
 // cloud in one frontier commit, applying this same detUntil >= wOld filter
 // per reader at drain time (conservative: detUntil only advances, so a
 // drain-time read at worst wakes a reader whose walk is a no-op). Nets
 // with no eligible reader at all (plan.FrontNetNone) skip the plane and
-// keep the baseline loop.
+// mark their readers directly.
 func (e *Engine) markLoads(nid netlist.NetID, wOld int64, newEvents bool) {
 	p := e.p
-	if !newEvents && e.front.on && p.NetFront[nid] != plan.FrontNetNone {
+	if !newEvents && p.NetFront[nid] != plan.FrontNetNone {
 		// Watermark-only move (wOld >= 0 by the call sites).
 		e.stageFrontierNet(nid, wOld)
 		return

@@ -122,9 +122,8 @@ func benchToggleEvery(b *testing.B, nl *netlist.Netlist, toggleNet string, opts 
 // design is quiet: a short active chain off the toggled input feeds a DFF
 // whose clock never moves, and the flop's output fans out to a wide cloud
 // of gates that settle once and never change again. Per-iteration cost is
-// dominated by how cheaply the executor walks past the quiet gates —
-// per-gate flag scans on the interpreted path, word/segment skips on the
-// script path.
+// dominated by how cheaply the executor walks past the quiet gates: clean
+// dirty-bitset words and skipped segments.
 func benchSparseNetlist(b *testing.B, quiet, active int) *netlist.Netlist {
 	b.Helper()
 	lib := liberty.MustBuiltin()
@@ -154,11 +153,10 @@ func benchSparseNetlist(b *testing.B, quiet, active int) *netlist.Netlist {
 	return nl
 }
 
-// BenchmarkScriptReplay compares the compiled script-replay path against
-// the interpreted per-gate sweep (Options.DisableScripts) on the same
-// netlists. dense re-visits every gate each toggle, isolating replay
-// dispatch; sparse keeps ~97% of the gates clean, isolating the cost of
-// walking past quiet state (dirty-bitset words vs per-gate flags).
+// BenchmarkScriptReplay measures the compiled script-replay sweep. dense
+// re-visits every gate each toggle, isolating replay dispatch; sparse keeps
+// ~97% of the gates clean, isolating the cost of walking past quiet state
+// (clean dirty-bitset words and skipped segments).
 func BenchmarkScriptReplay(b *testing.B) {
 	const gates = 512
 	dense := benchCombNetlist(b, gates)
@@ -166,31 +164,20 @@ func BenchmarkScriptReplay(b *testing.B) {
 	b.Run("dense/scripts", func(b *testing.B) {
 		benchToggle(b, dense, "n0", Options{Mode: ModeSerial})
 	})
-	b.Run("dense/interpreted", func(b *testing.B) {
-		benchToggle(b, dense, "n0", Options{Mode: ModeSerial, DisableScripts: true})
-	})
 	b.Run("sparse/scripts", func(b *testing.B) {
 		benchToggleEvery(b, sparse, "n0", Options{Mode: ModeSerial}, 32)
-	})
-	b.Run("sparse/interpreted", func(b *testing.B) {
-		benchToggleEvery(b, sparse, "n0", Options{Mode: ModeSerial, DisableScripts: true}, 32)
 	})
 }
 
 // BenchmarkVisit isolates per-gate visit cost by kernel class. comb runs the
-// packed-LUT kernel, comb-generic runs the exact same gates through the
-// generic interpreter (Options.DisableKernels), seq runs a DFF shift
-// register (always generic). Compare comb vs comb-generic for the kernel
-// speedup.
+// packed-LUT kernel, seq runs a DFF shift register through the generic
+// interpreter.
 func BenchmarkVisit(b *testing.B) {
 	const gates = 512
 	comb := benchCombNetlist(b, gates)
 	seq := benchSeqNetlist(b, gates)
 	b.Run("comb", func(b *testing.B) {
 		benchToggle(b, comb, "n0", Options{Mode: ModeSerial})
-	})
-	b.Run("comb-generic", func(b *testing.B) {
-		benchToggle(b, comb, "n0", Options{Mode: ModeSerial, DisableKernels: true})
 	})
 	b.Run("seq", func(b *testing.B) {
 		benchToggle(b, seq, "clk", Options{Mode: ModeSerial})

@@ -87,20 +87,10 @@ func runCollect(t *testing.T, p *plan.Plan, stim []gen.Change, opts Options) map
 	return collectEngine(e)
 }
 
-// TestKernelMixedEquivalence checks, on a fixture whose levels mix both
-// kernel classes, that the kernelized engine, the generic-path engine
-// (DisableKernels) and the reference simulator produce byte-identical
-// committed event streams across all execution modes.
-func TestKernelMixedEquivalence(t *testing.T) {
-	force4Procs(t)
-	nl, delays := mixedKernelDesign(t)
-	p, err := plan.Build(nl, testLib, delays)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stim := mixedKernelStim(nl, t)
-
-	// Reference stream from the (kernelized) event-driven oracle.
+// refCollect runs the reference simulator over the plan and returns its
+// committed event streams: the oracle every engine stream is diffed against.
+func refCollect(t *testing.T, p *plan.Plan, stim []gen.Change) refsim.Collect {
+	t.Helper()
 	ref, err := refsim.NewFromPlan(p)
 	if err != nil {
 		t.Fatal(err)
@@ -113,21 +103,30 @@ func TestKernelMixedEquivalence(t *testing.T) {
 	if err := ref.Run(rstim, want.Add); err != nil {
 		t.Fatal(err)
 	}
+	return want
+}
 
+// TestKernelMixedEquivalence checks, on a fixture whose levels mix both
+// kernel classes, that the engine and the reference simulator produce
+// byte-identical committed event streams across all execution modes.
+func TestKernelMixedEquivalence(t *testing.T) {
+	force4Procs(t)
+	nl, delays := mixedKernelDesign(t)
+	p, err := plan.Build(nl, testLib, delays)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stim := mixedKernelStim(nl, t)
+	want := refCollect(t, p, stim)
 	for _, mode := range []Mode{ModeSerial, ModeParallel, ModeManycore} {
-		opts := pooledOpts(mode)
-		kern := runCollect(t, p, stim, opts)
-		diffStreams(t, nl, want, kern, fmt.Sprintf("kernels mode=%v vs refsim", mode))
-
-		opts.DisableKernels = true
-		generic := runCollect(t, p, stim, opts)
-		diffStreams(t, nl, kern, generic, fmt.Sprintf("mode=%v kernels vs generic", mode))
+		got := runCollect(t, p, stim, pooledOpts(mode))
+		diffStreams(t, nl, want, got, fmt.Sprintf("mode=%v vs refsim", mode))
 	}
 }
 
-// TestKernelGeneratedEquivalence repeats the kernels-vs-generic stream
-// comparison on larger generated designs (FFs, latches, scan chains, clock
-// gates and a deep comb cloud) across seeds.
+// TestKernelGeneratedEquivalence repeats the refsim stream comparison on
+// larger generated designs (FFs, latches, scan chains, clock gates and a
+// deep comb cloud) across seeds.
 func TestKernelGeneratedEquivalence(t *testing.T) {
 	force4Procs(t)
 	for seed := int64(0); seed < 3; seed++ {
@@ -141,20 +140,17 @@ func TestKernelGeneratedEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		stim := gen.Stimuli(d, gen.StimSpec{Cycles: 20, ActivityFactor: 0.7, Seed: seed, ScanBurst: 5})
+		want := refCollect(t, p, stim)
 		for _, mode := range []Mode{ModeSerial, ModeParallel} {
-			opts := pooledOpts(mode)
-			kern := runCollect(t, p, stim, opts)
-			opts.DisableKernels = true
-			generic := runCollect(t, p, stim, opts)
-			diffStreams(t, d.Netlist, kern, generic, fmt.Sprintf("seed=%d mode=%v kernels vs generic", seed, mode))
+			got := runCollect(t, p, stim, pooledOpts(mode))
+			diffStreams(t, d.Netlist, want, got, fmt.Sprintf("seed=%d mode=%v vs refsim", seed, mode))
 		}
 	}
 }
 
-// TestKernelCounters checks the per-kernel visit/query split: with kernels
-// on both classes are exercised and the splits sum to the totals; with
-// kernels off everything lands on ClassSeq. The obs counters must mirror
-// the Stats fields.
+// TestKernelCounters checks the per-kernel visit/query split: both classes
+// are exercised and the splits sum to the totals. The obs counters must
+// mirror the Stats fields.
 func TestKernelCounters(t *testing.T) {
 	nl, delays := mixedKernelDesign(t)
 	p, err := plan.Build(nl, testLib, delays)
@@ -196,28 +192,6 @@ func TestKernelCounters(t *testing.T) {
 		t.Errorf("sim.queries_by_kernel.seq counter = %d, Stats = %d", got, st.QueriesByKernel[truthtab.ClassSeq])
 	}
 
-	// Generic path: the same design, all visits on the seq interpreter.
-	opts = Options{Mode: ModeSerial, DisableKernels: true}
-	g, err := NewFromPlan(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	for _, s := range stim {
-		if err := g.Inject(s.Net, s.Time, s.Val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	gst := g.Stats()
-	if gst.VisitsByKernel[truthtab.ClassComb1] != 0 {
-		t.Errorf("DisableKernels still ran %d comb1 visits", gst.VisitsByKernel[truthtab.ClassComb1])
-	}
-	if gst.VisitsByKernel[truthtab.ClassSeq] != gst.Visits {
-		t.Errorf("DisableKernels: seq visits %d != total %d", gst.VisitsByKernel[truthtab.ClassSeq], gst.Visits)
-	}
 }
 
 // TestKernelSegments sanity-checks the compiled schedule the engine adopts

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"time"
 
 	"gatesim/internal/event"
 	"gatesim/internal/lane"
@@ -13,6 +12,7 @@ import (
 	"gatesim/internal/netlist"
 	"gatesim/internal/plan"
 	"gatesim/internal/sched"
+	"gatesim/internal/sdf"
 	"gatesim/internal/truthtab"
 )
 
@@ -56,29 +56,15 @@ func (e *Engine) visitLaneScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 	llut := truthtab.LanePackedLUT{LUT: op.LUT}
 	inQ := e.inQ[inB : inB+ni]
 	inSt := e.inStore[inB : inB+ni]
-	q := e.outQ[outB]
 	softCur := e.softCur[inB : inB+ni]
 	L := e.lanes
 	sc.visits[truthtab.ClassComb1]++
 	sc.visitsLane++
 
-	// Soft-resume / idle checks, exactly as in visitScriptComb1.
-	resume := g.softValid
-	idle := resume
-	if resume {
-		for i := 0; i < ni; i++ {
-			iq := inQ[i]
-			if softCur[i] < iq.Len() {
-				idle = false
-				if iq.MustAt(softCur[i]).Time < g.softNow {
-					resume = false
-					break
-				}
-			}
-		}
-	}
+	wm := loadWatermarks(sc, inQ)
+	resume, idle := softResume(g, inQ, softCur)
 	if resume && idle {
-		return e.idleLaneScriptComb1(op, sc)
+		return e.idleLaneScriptComb1(op, wm, sc)
 	}
 	// A real visit may change the soft lane words the idle walks' memo was
 	// proven against; drop it (cheap, and stale masks are unsound).
@@ -109,24 +95,24 @@ func (e *Engine) visitLaneScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 		}
 		now = g.baseNow
 	}
+	arcs := e.p.Arcs[op.ArcBase : int(op.ArcBase)+ni]
 	detUntil := TimeInf
-	frontOn := e.front.on
 	fullU := uint32(0)
-	if frontOn && llut.LUT.AllU {
+	if llut.LUT.AllU {
 		fullU = uint32(1)<<uint(ni) - 1
 	}
 	for {
-		// Next change point: earliest unconsumed event or stable-time
-		// expiry strictly after `now`.
+		// Next change point: earliest unconsumed event below its input's
+		// watermark snapshot, or stable-time expiry strictly after `now`.
 		t := TimeInf
 		for i := 0; i < ni; i++ {
 			iq := inQ[i]
 			if sc.cur[i].Idx < iq.Len() {
-				if et := sc.cur[i].Peek(iq).Time; et < t {
+				if et := sc.cur[i].Peek(iq).Time; et < t && et < wm[i] {
 					t = et
 				}
 			}
-			if w := iq.DeterminedUntil(); w > now && w < t {
+			if w := wm[i]; w > now && w < t {
 				t = w
 			}
 		}
@@ -141,7 +127,7 @@ func (e *Engine) visitLaneScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 		sc.evIn = sc.evIn[:0]
 		for i := 0; i < ni; i++ {
 			iq := inQ[i]
-			if sc.cur[i].Idx < iq.Len() {
+			if t < wm[i] && sc.cur[i].Idx < iq.Len() {
 				if sc.cur[i].Peek(iq).Time == t {
 					m, w := inSt[i].At(sc.cur[i].Idx)
 					sc.evMask[i] = m
@@ -151,14 +137,13 @@ func (e *Engine) visitLaneScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 					continue
 				}
 			}
-			if t >= iq.DeterminedUntil() {
+			if t >= wm[i] {
 				expired |= 1 << uint(i)
 			}
 			sc.qWords[i] = sc.laneVals[i]
 		}
 		// Every pin expired and the function is input-sensitive: U in every
-		// lane by construction, no probe needed (see visitComb1; fullU is
-		// zero unless the frontier is armed and the LUT qualifies).
+		// lane by construction, no probe needed (see visitScriptComb1).
 		if expired == fullU && fullU != 0 {
 			sc.queriesSaved++
 			detUntil = t
@@ -171,8 +156,8 @@ func (e *Engine) visitLaneScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 		sc.queries[truthtab.ClassComb1]++
 		if undet != 0 {
 			// Event-free probe against the final soft lane words: seed the
-			// idle walks' memo (see visitComb1).
-			if frontOn && len(sc.evIn) == 0 && (g.maskUndet == 0 || expired&^g.maskUndet == 0) {
+			// idle walks' memo (see visitScriptComb1).
+			if len(sc.evIn) == 0 && (g.maskUndet == 0 || expired&^g.maskUndet == 0) {
 				g.maskUndet = expired
 			}
 			detUntil = t
@@ -181,10 +166,16 @@ func (e *Engine) visitLaneScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 
 		// Consume the change point: only lanes with an input event here may
 		// schedule (a quiet lane's scalar replay has no change point at t),
-		// and only when their semantic output moved.
+		// and only when their semantic output moved. Each lane's delay is
+		// chosen over its own changing inputs; the expired-input guard
+		// (expiredFaster) stops the whole visit if any lane needs it.
 		if len(sc.evIn) > 0 {
 			g.maskDet, g.maskUndet = 0, 0
 			changed := evLanes & lane.DiffMask(outW, sem)
+			if !op.Uniform && expired != 0 && e.laneExpiredFaster(arcs, changed, outW, expired, sc) {
+				detUntil = t
+				break
+			}
 			for m := changed; m != 0; m &= m - 1 {
 				ln := bits.TrailingZeros32(m)
 				nv := outW.Get(ln)
@@ -192,16 +183,7 @@ func (e *Engine) visitLaneScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 				if op.Uniform {
 					d = op.Delay[nv]
 				} else {
-					arcB := int(op.ArcBase)
-					d = int64(1) << 62
-					for _, i := range sc.evIn {
-						if sc.evMask[i]&(1<<uint(ln)) == 0 {
-							continue
-						}
-						if ad := sched.DelayFor(e.p.Arcs[arcB+i], nv); ad < d {
-							d = ad
-						}
-					}
+					d = laneEventDelay(arcs, sc.evIn, sc.evMask, 1<<uint(ln), nv)
 				}
 				outs[ln].Schedule(t+d, nv)
 			}
@@ -210,7 +192,7 @@ func (e *Engine) visitLaneScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 				sc.laneVals[i] = sc.qWords[i]
 				sc.cur[i].Advance()
 			}
-		} else if frontOn && expired&g.maskDet == g.maskDet {
+		} else if expired&g.maskDet == g.maskDet {
 			g.maskDet = expired
 		}
 		now = t
@@ -218,46 +200,13 @@ func (e *Engine) visitLaneScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 	g.detUntil.Store(detUntil)
 
 	// Commit the merged per-lane streams and advance the shared watermark.
-	limit := detUntil
-	if limit < TimeInf {
-		limit += op.MinArc
-		if limit > TimeInf {
-			limit = TimeInf
-		}
-	}
-	commitThrough := limit - 1
-	newEvents := e.commitLaneOutputs(outB, outs, commitThrough, sc)
-	if commitThrough > e.committedUntil[outB] {
-		e.committedUntil[outB] = commitThrough
-	}
-	progress := false
-	wOld := int64(-1)
-	if q != nil && q.DeterminedUntil() < limit {
-		wOld = q.DeterminedUntil()
-		q.SetDeterminedUntil(limit)
-	}
-	if newEvents || wOld >= 0 {
-		progress = true
-		e.markLoads(op.OutNet, wOld, newEvents)
-	}
-
+	limit := outLimit(detUntil, op.MinArc)
+	progress := e.publish(outB, op.OutNet, limit, e.commitLaneOutputs(outB, outs, limit, sc))
 	futureMin := int64(TimeInf)
 	for ln := 0; ln < L; ln++ {
-		if te, ok := outs[ln].NextPending(); ok && te < futureMin {
-			futureMin = te
-		}
+		futureMin = pendMin(outs[ln].Pend(), futureMin)
 	}
-	blocked := false
-	for i := 0; i < ni; i++ {
-		if sc.cur[i].Idx < inQ[i].Len() {
-			blocked = true
-			if et := sc.cur[i].Peek(inQ[i]).Time; et < futureMin {
-				futureMin = et
-			}
-		}
-	}
-	g.futureMin = futureMin
-	g.blocked = blocked
+	g.futureMin, g.blocked = inputFutureMin(sc, inQ, futureMin)
 
 	// Save the soft snapshot for the next visit.
 	g.softNow = now
@@ -276,25 +225,20 @@ func (e *Engine) visitLaneScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 // idleLaneScriptComb1 is idleScriptComb1 over lane words: a
 // watermark-expiry-only walk probing every lane per expiry, and the merged
 // soft-pending prefixes to commit.
-func (e *Engine) idleLaneScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
+func (e *Engine) idleLaneScriptComb1(op *plan.ScriptOp, wm []int64, sc *scratch) bool {
 	g := &e.gate[op.Gate]
 	inB := int(op.InBase)
 	ni := int(op.NIn)
 	outB := int(op.OutSlot)
 	llut := truthtab.LanePackedLUT{LUT: op.LUT}
-	inQ := e.inQ[inB : inB+ni]
-	q := e.outQ[outB]
 
-	// Watermark snapshot + determinedness memo, as in idleComb1. The lane
+	// Watermark snapshot + determinedness memo, as in idleScriptComb1. The lane
 	// probe's verdict is "determined in every active lane", which is
 	// antitone in the expired set exactly like the scalar one (per lane),
 	// so the same masks apply to the all-lanes outcome.
-	wm := sc.wm[:ni]
 	var expMax uint32
 	tLast := int64(0)
-	for i := 0; i < ni; i++ {
-		w := inQ[i].DeterminedUntil()
-		wm[i] = w
+	for i, w := range wm {
 		if w < TimeInf {
 			expMax |= 1 << uint(i)
 			if w > tLast {
@@ -304,8 +248,7 @@ func (e *Engine) idleLaneScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 	}
 	now := g.softNow
 	detUntil := TimeInf
-	frontOn := e.front.on
-	// Maximal-set shortcut, as in idleComb1; the all-lanes verdict is
+	// Maximal-set shortcut, as in idleScriptComb1; the all-lanes verdict is
 	// antitone per lane, so one determined-in-every-lane probe with every
 	// finite-watermark input expired settles the entire walk.
 	full := uint32(1)<<uint(ni) - 1
@@ -332,7 +275,7 @@ func (e *Engine) idleLaneScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 			now = tLast
 		}
 	}
-	// Incremental expired set, as in idleComb1: it only grows along the
+	// Incremental expired set, as in idleScriptComb1: it only grows along the
 	// walk, so it is maintained in place instead of being rebuilt O(ni) at
 	// every change point. The lane probe takes the set as an argument and
 	// reads the engine's soft lane words directly, so there is no packed
@@ -358,7 +301,7 @@ func (e *Engine) idleLaneScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 				expired |= b
 			}
 		}
-		if frontOn && expired == full && llut.LUT.AllU {
+		if expired == full && llut.LUT.AllU {
 			sc.queriesSaved++
 			detUntil = t
 			break
@@ -375,13 +318,13 @@ func (e *Engine) idleLaneScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 		}
 		sc.queries[truthtab.ClassComb1]++
 		if _, undet := llut.LookupLanes(e.laneSoftVals[inB:inB+ni], expired, e.laneMask); undet != 0 {
-			if frontOn && (g.maskUndet == 0 || expired&^g.maskUndet == 0) {
+			if g.maskUndet == 0 || expired&^g.maskUndet == 0 {
 				g.maskUndet = expired
 			}
 			detUntil = t
 			break
 		}
-		if frontOn && expired&g.maskDet == g.maskDet {
+		if expired&g.maskDet == g.maskDet {
 			g.maskDet = expired
 		}
 		now = t
@@ -389,40 +332,47 @@ func (e *Engine) idleLaneScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 	g.softNow = now
 	g.detUntil.Store(detUntil)
 
-	limit := detUntil
-	if limit < TimeInf {
-		limit += op.MinArc
-		if limit > TimeInf {
-			limit = TimeInf
-		}
-	}
-	commitThrough := limit - 1
-	newEvents := e.commitLaneSoftPend(outB, commitThrough, sc)
-	if commitThrough > e.committedUntil[outB] {
-		e.committedUntil[outB] = commitThrough
-	}
-	progress := false
-	wOld := int64(-1)
-	if q != nil && q.DeterminedUntil() < limit {
-		wOld = q.DeterminedUntil()
-		q.SetDeterminedUntil(limit)
-	}
-	if newEvents || wOld >= 0 {
-		progress = true
-		e.markLoads(op.OutNet, wOld, newEvents)
-	}
-
-	futureMin := int64(TimeInf)
-	L := e.lanes
-	for ln := 0; ln < L; ln++ {
-		for _, ev := range e.laneSoftPend[outB*L+ln] {
-			if ev.Time < futureMin {
-				futureMin = ev.Time
-			}
-		}
-	}
-	g.futureMin = futureMin
+	limit := outLimit(detUntil, op.MinArc)
+	progress := e.publish(outB, op.OutNet, limit, e.commitLaneSoftPend(outB, limit, sc))
+	g.futureMin = e.laneSoftPendMin(outB, TimeInf)
 	return progress
+}
+
+// laneEventDelay is eventDelay for one lane (bit, its mask bit): the
+// fastest arc, for nv, among the inputs whose event at this change point
+// includes the lane.
+func laneEventDelay(arcs []sdf.Delay, evIn []int, evMask []uint32, bit uint32, nv logic.Value) int64 {
+	d := int64(1) << 62
+	for _, i := range evIn {
+		if evMask[i]&bit != 0 {
+			d = min(d, sched.DelayFor(arcs[i], nv))
+		}
+	}
+	return d
+}
+
+// laneExpiredFaster applies the expiredFaster guard to every lane in
+// changed, each scheduling its value in outW through its own delay over its
+// own changing inputs.
+func (e *Engine) laneExpiredFaster(arcs []sdf.Delay, changed uint32, outW lane.Word, expired uint32, sc *scratch) bool {
+	for m := changed; m != 0; m &= m - 1 {
+		ln := bits.TrailingZeros32(m)
+		nv := outW.Get(ln)
+		if expiredFaster(arcs, expired, nv, laneEventDelay(arcs, sc.evIn, sc.evMask, 1<<uint(ln), nv)) {
+			return true
+		}
+	}
+	return false
+}
+
+// laneSoftPendMin folds the earliest soft-pending transition of any lane of
+// the output slot into futureMin.
+func (e *Engine) laneSoftPendMin(outSlot int, futureMin int64) int64 {
+	L := e.lanes
+	for _, pend := range e.laneSoftPend[outSlot*L : (outSlot+1)*L] {
+		futureMin = pendMin(pend, futureMin)
+	}
+	return futureMin
 }
 
 // visitLaneGate is the lane-mode generic (ClassSeq) visit: the scalar
@@ -442,33 +392,18 @@ func (e *Engine) visitLaneGate(id netlist.CellID, sc *scratch) bool {
 	stB := int(p.StateOff[id])
 	ns := int(p.StateOff[id+1]) - stB
 	tab := p.Tables[p.TableOf[id]]
-	arcB := int(p.ArcOff[id])
+	arcs := p.Arcs[p.ArcOff[id]:p.ArcOff[id+1]]
 	inQ := e.inQ[inB : inB+ni]
 	inSt := e.inStore[inB : inB+ni]
-	outQ := e.outQ[outB : outB+no]
 	softCur := e.softCur[inB : inB+ni]
-	committedUntil := e.committedUntil[outB : outB+no]
-	minArc := p.MinArc[outB : outB+no]
 	L := e.lanes
 	sc.visits[truthtab.ClassSeq]++
 	sc.visitsLane++
 
-	resume := g.softValid
-	idle := resume
-	if resume {
-		for i := 0; i < ni; i++ {
-			iq := inQ[i]
-			if softCur[i] < iq.Len() {
-				idle = false
-				if iq.MustAt(softCur[i]).Time < g.softNow {
-					resume = false
-					break
-				}
-			}
-		}
-	}
+	wm := loadWatermarks(sc, inQ)
+	resume, idle := softResume(g, inQ, softCur)
 	if resume && idle {
-		return e.idleLaneVisit(id, sc)
+		return e.idleLaneVisit(id, wm, sc)
 	}
 	var now int64
 	if resume {
@@ -501,16 +436,17 @@ func (e *Engine) visitLaneGate(id netlist.CellID, sc *scratch) bool {
 		now = g.baseNow
 	}
 	detUntil := TimeInf
+replay:
 	for {
 		t := TimeInf
 		for i := 0; i < ni; i++ {
 			iq := inQ[i]
 			if sc.cur[i].Idx < iq.Len() {
-				if et := sc.cur[i].Peek(iq).Time; et < t {
+				if et := sc.cur[i].Peek(iq).Time; et < t && et < wm[i] {
 					t = et
 				}
 			}
-			if w := iq.DeterminedUntil(); w > now && w < t {
+			if w := wm[i]; w > now && w < t {
 				t = w
 			}
 		}
@@ -528,7 +464,7 @@ func (e *Engine) visitLaneGate(id netlist.CellID, sc *scratch) bool {
 		for i := 0; i < ni; i++ {
 			iq := inQ[i]
 			sc.evMask[i] = 0
-			if sc.cur[i].Idx < iq.Len() {
+			if t < wm[i] && sc.cur[i].Idx < iq.Len() {
 				if sc.cur[i].Peek(iq).Time == t {
 					m, w := inSt[i].At(sc.cur[i].Idx)
 					sc.evMask[i] = m
@@ -538,10 +474,10 @@ func (e *Engine) visitLaneGate(id netlist.CellID, sc *scratch) bool {
 					continue
 				}
 			}
-			if w := iq.DeterminedUntil(); w > now && w <= t {
+			if w := wm[i]; w > now && w <= t {
 				expiryPoint = true
 			}
-			if t >= iq.DeterminedUntil() {
+			if t >= wm[i] {
 				expired |= 1 << uint(i)
 			}
 		}
@@ -595,7 +531,21 @@ func (e *Engine) visitLaneGate(id netlist.CellID, sc *scratch) bool {
 
 		// Consume: schedule per-lane output changes for event lanes, fold
 		// next-states for participating lanes, advance the shared cursors.
+		// The expired-input guard runs over every output first, so a stop
+		// leaves the change point wholly unconsumed.
 		if len(sc.evIn) > 0 {
+			for o := 0; o < no && expired != 0; o++ {
+				w := sc.laneSem[o]
+				for m := evLanes; m != 0; m &= m - 1 {
+					ln := bits.TrailingZeros32(m)
+					w = w.Set(ln, sc.laneQOuts[o*L+ln])
+				}
+				changed := evLanes & lane.DiffMask(w, sc.laneSem[o])
+				if e.laneExpiredFaster(arcs[o*ni:(o+1)*ni], changed, w, expired, sc) {
+					detUntil = t
+					break replay
+				}
+			}
 			for o := 0; o < no; o++ {
 				for m := evLanes; m != 0; m &= m - 1 {
 					ln := bits.TrailingZeros32(m)
@@ -603,15 +553,7 @@ func (e *Engine) visitLaneGate(id netlist.CellID, sc *scratch) bool {
 					if nv == sc.laneSem[o].Get(ln) {
 						continue
 					}
-					d := int64(1) << 62
-					for _, i := range sc.evIn {
-						if sc.evMask[i]&(1<<uint(ln)) == 0 {
-							continue
-						}
-						if ad := sched.DelayFor(p.Arcs[arcB+o*ni+i], nv); ad < d {
-							d = ad
-						}
-					}
+					d := laneEventDelay(arcs[o*ni:(o+1)*ni], sc.evIn, sc.evMask, 1<<uint(ln), nv)
 					sc.laneOuts[o*L+ln].Schedule(t+d, nv)
 					sc.laneSem[o] = sc.laneSem[o].Set(ln, nv)
 				}
@@ -634,47 +576,18 @@ func (e *Engine) visitLaneGate(id netlist.CellID, sc *scratch) bool {
 	g.detUntil.Store(detUntil)
 
 	progress := false
-	for o := 0; o < no; o++ {
-		limit := detUntil
-		if limit < TimeInf {
-			limit += minArc[o]
-			if limit > TimeInf {
-				limit = TimeInf
-			}
-		}
-		commitThrough := limit - 1
-		newEvents := e.commitLaneOutputs(outB+o, sc.laneOuts[o*L:(o+1)*L], commitThrough, sc)
-		if commitThrough > committedUntil[o] {
-			committedUntil[o] = commitThrough
-		}
-		q := outQ[o]
-		wOld := int64(-1)
-		if q != nil && q.DeterminedUntil() < limit {
-			wOld = q.DeterminedUntil()
-			q.SetDeterminedUntil(limit)
-		}
-		if newEvents || wOld >= 0 {
-			progress = true
-			e.markLoads(p.OutNet[outB+o], wOld, newEvents)
-		}
-	}
-
 	futureMin := int64(TimeInf)
 	for o := 0; o < no; o++ {
-		for ln := 0; ln < L; ln++ {
-			if te, ok := sc.laneOuts[o*L+ln].NextPending(); ok && te < futureMin {
-				futureMin = te
-			}
+		outs := sc.laneOuts[o*L : (o+1)*L]
+		limit := outLimit(detUntil, p.MinArc[outB+o])
+		if e.publish(outB+o, p.OutNet[outB+o], limit, e.commitLaneOutputs(outB+o, outs, limit, sc)) {
+			progress = true
+		}
+		for ln := range outs {
+			futureMin = pendMin(outs[ln].Pend(), futureMin)
 		}
 	}
-	for i := 0; i < ni; i++ {
-		if sc.cur[i].Idx < inQ[i].Len() {
-			if et := sc.cur[i].Peek(inQ[i]).Time; et < futureMin {
-				futureMin = et
-			}
-		}
-	}
-	g.futureMin = futureMin
+	g.futureMin, g.blocked = inputFutureMin(sc, inQ, futureMin)
 
 	g.softNow = now
 	for i := 0; i < ni; i++ {
@@ -696,7 +609,7 @@ func (e *Engine) visitLaneGate(id netlist.CellID, sc *scratch) bool {
 // every lane from the soft values/states (nothing is consumed — a
 // determined expiry outcome must agree with the "nothing happened"
 // refinement in every lane), then merged soft-pend commits.
-func (e *Engine) idleLaneVisit(id netlist.CellID, sc *scratch) bool {
+func (e *Engine) idleLaneVisit(id netlist.CellID, wm []int64, sc *scratch) bool {
 	p := e.p
 	g := &e.gate[id]
 	inB := int(p.InOff[id])
@@ -706,10 +619,6 @@ func (e *Engine) idleLaneVisit(id netlist.CellID, sc *scratch) bool {
 	stB := int(p.StateOff[id])
 	ns := int(p.StateOff[id+1]) - stB
 	tab := p.Tables[p.TableOf[id]]
-	inQ := e.inQ[inB : inB+ni]
-	outQ := e.outQ[outB : outB+no]
-	committedUntil := e.committedUntil[outB : outB+no]
-	minArc := p.MinArc[outB : outB+no]
 	L := e.lanes
 
 	now := g.softNow
@@ -717,7 +626,7 @@ func (e *Engine) idleLaneVisit(id netlist.CellID, sc *scratch) bool {
 	for {
 		t := int64(TimeInf)
 		for i := 0; i < ni; i++ {
-			if w := inQ[i].DeterminedUntil(); w > now && w < t {
+			if w := wm[i]; w > now && w < t {
 				t = w
 			}
 		}
@@ -727,7 +636,7 @@ func (e *Engine) idleLaneVisit(id netlist.CellID, sc *scratch) bool {
 		undet := false
 		for ln := 0; ln < L && !undet; ln++ {
 			for i := 0; i < ni; i++ {
-				if t >= inQ[i].DeterminedUntil() {
+				if t >= wm[i] {
 					sc.qIns[i] = logic.VU
 				} else {
 					sc.qIns[i] = e.laneSoftVals[inB+i].Get(ln)
@@ -763,52 +672,25 @@ func (e *Engine) idleLaneVisit(id netlist.CellID, sc *scratch) bool {
 	g.detUntil.Store(detUntil)
 
 	progress := false
-	for o := 0; o < no; o++ {
-		limit := detUntil
-		if limit < TimeInf {
-			limit += minArc[o]
-			if limit > TimeInf {
-				limit = TimeInf
-			}
-		}
-		commitThrough := limit - 1
-		newEvents := e.commitLaneSoftPend(outB+o, commitThrough, sc)
-		if commitThrough > committedUntil[o] {
-			committedUntil[o] = commitThrough
-		}
-		q := outQ[o]
-		wOld := int64(-1)
-		if q != nil && q.DeterminedUntil() < limit {
-			wOld = q.DeterminedUntil()
-			q.SetDeterminedUntil(limit)
-		}
-		if newEvents || wOld >= 0 {
-			progress = true
-			e.markLoads(p.OutNet[outB+o], wOld, newEvents)
-		}
-	}
-
 	futureMin := int64(TimeInf)
-	for o := 0; o < no; o++ {
-		for ln := 0; ln < L; ln++ {
-			for _, ev := range e.laneSoftPend[(outB+o)*L+ln] {
-				if ev.Time < futureMin {
-					futureMin = ev.Time
-				}
-			}
+	for o := outB; o < outB+no; o++ {
+		limit := outLimit(detUntil, p.MinArc[o])
+		if e.publish(o, p.OutNet[o], limit, e.commitLaneSoftPend(o, limit, sc)) {
+			progress = true
 		}
+		futureMin = e.laneSoftPendMin(o, futureMin)
 	}
 	g.futureMin = futureMin
 	return progress
 }
 
-// commitLaneOutputs pops every lane's pending transitions through
-// commitThrough off outs (one sched.Output per lane) and appends the merged
+// commitLaneOutputs pops every lane's pending transitions below limit off
+// outs (one sched.Output per lane) and appends the merged
 // (mask, word) entries to the output's queue + lane store. The shared
 // committedUntil guard drops replay duplicates exactly as in scalar mode:
 // per-lane replay is deterministic, so a re-derived pop below the guard is
 // byte-identical to the one already committed.
-func (e *Engine) commitLaneOutputs(outSlot int, outs []sched.Output, commitThrough int64, sc *scratch) bool {
+func (e *Engine) commitLaneOutputs(outSlot int, outs []sched.Output, limit int64, sc *scratch) bool {
 	q := e.outQ[outSlot]
 	st := e.outStore[outSlot]
 	lc := e.laneLastCommitted[outSlot]
@@ -820,7 +702,7 @@ func (e *Engine) commitLaneOutputs(outSlot int, outs []sched.Output, commitThrou
 				t = te
 			}
 		}
-		if t > commitThrough {
+		if t >= limit {
 			break
 		}
 		var mask uint32
@@ -849,8 +731,8 @@ func (e *Engine) commitLaneOutputs(outSlot int, outs []sched.Output, commitThrou
 
 // commitLaneSoftPend is commitLaneOutputs over the saved soft-pending lists
 // (the idle paths, which have no live sched.Outputs): the per-lane prefixes
-// through commitThrough are merged by time, committed, and compacted away.
-func (e *Engine) commitLaneSoftPend(outSlot int, commitThrough int64, sc *scratch) bool {
+// below limit are merged by time, committed, and compacted away.
+func (e *Engine) commitLaneSoftPend(outSlot int, limit int64, sc *scratch) bool {
 	L := e.lanes
 	q := e.outQ[outSlot]
 	st := e.outStore[outSlot]
@@ -869,7 +751,7 @@ func (e *Engine) commitLaneSoftPend(outSlot int, commitThrough int64, sc *scratc
 				t = pend[k[ln]].Time
 			}
 		}
-		if t > commitThrough {
+		if t >= limit {
 			break
 		}
 		var mask uint32
@@ -1050,98 +932,28 @@ func (e *Engine) RunLaneStreamCtx(ctx context.Context, changes []LaneChange, cfg
 	if e.lanes <= 1 {
 		return fmt.Errorf("sim: RunLaneStream requires lane mode (Options.Lanes > 1)")
 	}
-	if cfg.SlicePS <= 0 {
-		cfg.SlicePS = 65536
-	}
-	watch := cfg.Watch
-	if watch == nil {
-		watch = e.nl.PortsOut
-	}
-	read := make(map[netlist.NetID]int64, len(watch))
-	for _, nid := range watch {
-		read[nid] = e.Events(nid).Start()
-	}
-
-	type timedLaneEvent struct {
-		nid  netlist.NetID
-		t    int64
-		mask uint32
-		w    lane.Word
-	}
-	var emitBuf []timedLaneEvent
-	flush := func(limit int64) {
-		emitBuf = emitBuf[:0]
-		for _, nid := range watch {
-			q := e.Events(nid)
-			st := &e.laneStores[nid]
-			i := read[nid]
-			for ; i < q.Len(); i++ {
-				ev := q.MustAt(i)
-				if ev.Time >= limit {
-					break
-				}
-				mask, w := st.At(i)
-				emitBuf = append(emitBuf, timedLaneEvent{nid, ev.Time, mask, w})
-			}
-			read[nid] = i
-		}
-		if cfg.OnEvent != nil {
-			sort.Slice(emitBuf, func(a, b int) bool {
-				if emitBuf[a].t != emitBuf[b].t {
-					return emitBuf[a].t < emitBuf[b].t
-				}
-				return emitBuf[a].nid < emitBuf[b].nid
-			})
-			for _, te := range emitBuf {
-				cfg.OnEvent(te.nid, te.t, te.mask, te.w)
-			}
-		}
-	}
-
 	pos := 0
-	start := int64(0)
-	if len(changes) > 0 {
-		start = (changes[0].Time / cfg.SlicePS) * cfg.SlicePS
-	}
-	for pos < len(changes) {
-		end := start + cfg.SlicePS
-		sliceStart := time.Now()
-		e.obs.trace.Begin(e.obs.tid, "slice")
-		for pos < len(changes) && changes[pos].Time < end {
+	inject := func(end int64) (bool, error) {
+		for ; pos < len(changes) && changes[pos].Time < end; pos++ {
 			c := changes[pos]
-			pos++
 			if err := e.InjectLanes(c.Net, c.Time, c.Word, c.Mask); err != nil {
-				e.obs.trace.End(e.obs.tid)
-				return err
+				return false, err
 			}
 		}
-		if err := e.AdvanceCtx(ctx, end); err != nil {
-			e.obs.trace.End(e.obs.tid)
-			return err
-		}
-		limit := end
-		for _, nid := range watch {
-			if w := e.Events(nid).DeterminedUntil(); w < limit {
-				limit = w
-			}
-		}
-		flush(limit)
-		e.obs.trace.End(e.obs.tid)
-		e.obs.sliceNS.Observe(time.Since(sliceStart).Nanoseconds())
-		e.emitSliceCounters(limit)
-		if cfg.AfterSlice != nil {
-			if err := cfg.AfterSlice(end); err != nil {
-				return &SimError{Op: "stream", Cause: err}
-			}
-		}
-		start = end
+		return pos < len(changes), nil
 	}
-	if err := e.FinishCtx(ctx); err != nil {
-		return err
+	var emit func(nid netlist.NetID, idx int64, ev event.Event)
+	if cfg.OnEvent != nil {
+		emit = func(nid netlist.NetID, idx int64, ev event.Event) {
+			mask, w := e.laneStores[nid].At(idx)
+			cfg.OnEvent(nid, ev.Time, mask, w)
+		}
 	}
-	flush(TimeInf + 1)
-	e.emitSliceCounters(TimeInf)
-	return nil
+	first := int64(0)
+	if len(changes) > 0 {
+		first = changes[0].Time
+	}
+	return e.runSlices(ctx, first, len(changes) > 0, cfg.SlicePS, cfg.Watch, inject, emit, cfg.AfterSlice)
 }
 
 // LaneEvents reconstructs lane ln's scalar committed-event stream on a net

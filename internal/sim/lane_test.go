@@ -19,7 +19,7 @@ import (
 // over the merged per-lane stimuli, then every lane's extracted stream on
 // every net must be byte-identical to a reference-simulator run of that
 // lane's stimulus alone.
-func checkLaneVsRefsim(t *testing.T, d *gen.Design, spec gen.StimSpec, lanes int, opts Options) {
+func checkLaneVsRefsim(t *testing.T, d *gen.Design, spec gen.StimSpec, lanes int, slice int64, opts Options) Stats {
 	t.Helper()
 	delays := gen.Delays(d, 7)
 	perLaneG := gen.LaneStimuli(d, spec, lanes)
@@ -57,7 +57,7 @@ func checkLaneVsRefsim(t *testing.T, d *gen.Design, spec gen.StimSpec, lanes int
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if err := e.RunLaneStream(merged, LaneStreamConfig{SlicePS: 4 * d.Spec.ClockPeriodPS}); err != nil {
+	if err := e.RunLaneStream(merged, LaneStreamConfig{SlicePS: slice}); err != nil {
 		t.Fatal(err)
 	}
 	if e.Stats().VisitsLane == 0 {
@@ -80,6 +80,7 @@ func checkLaneVsRefsim(t *testing.T, d *gen.Design, spec gen.StimSpec, lanes int
 			}
 		}
 	}
+	return e.Stats()
 }
 
 // TestLaneMatchesRefsim32Serial is the core acceptance test: 32 lanes of
@@ -95,7 +96,7 @@ func TestLaneMatchesRefsim32Serial(t *testing.T) {
 			t.Fatal(err)
 		}
 		spec := gen.StimSpec{Cycles: 15, ActivityFactor: 0.6, Seed: seed, ScanBurst: 5}
-		checkLaneVsRefsim(t, d, spec, lane.MaxLanes, Options{Mode: ModeSerial})
+		checkLaneVsRefsim(t, d, spec, lane.MaxLanes, 4*d.Spec.ClockPeriodPS, Options{Mode: ModeSerial})
 	}
 }
 
@@ -108,7 +109,7 @@ func TestLaneMatchesRefsimFewLanes(t *testing.T) {
 	}
 	spec := gen.StimSpec{Cycles: 12, ActivityFactor: 0.7, Seed: 0, ScanBurst: 4}
 	for _, lanes := range []int{2, 5, 8} {
-		checkLaneVsRefsim(t, d, spec, lanes, Options{Mode: ModeSerial})
+		checkLaneVsRefsim(t, d, spec, lanes, 4*d.Spec.ClockPeriodPS, Options{Mode: ModeSerial})
 	}
 }
 
@@ -122,7 +123,7 @@ func TestLaneMatchesRefsimPooled(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := gen.StimSpec{Cycles: 12, ActivityFactor: 0.6, Seed: 1, ScanBurst: 5}
-	checkLaneVsRefsim(t, d, spec, lane.MaxLanes, pooledOpts(ModeParallel))
+	checkLaneVsRefsim(t, d, spec, lane.MaxLanes, 4*d.Spec.ClockPeriodPS, pooledOpts(ModeParallel))
 }
 
 // TestLanesOneIsScalar pins the default: Options.Lanes <= 1 runs the
@@ -171,12 +172,6 @@ func TestLaneModeGuards(t *testing.T) {
 	}
 	if _, err := NewFromPlan(p, Options{Lanes: lane.MaxLanes + 1}); err == nil {
 		t.Error("Lanes above lane.MaxLanes accepted")
-	}
-	if _, err := NewFromPlan(p, Options{Lanes: 8, DisableScripts: true}); err == nil {
-		t.Error("lane mode with DisableScripts accepted")
-	}
-	if _, err := NewFromPlan(p, Options{Lanes: 8, DisableKernels: true}); err == nil {
-		t.Error("lane mode with DisableKernels accepted")
 	}
 
 	e, err := NewFromPlan(p, Options{Mode: ModeSerial, Lanes: 8})

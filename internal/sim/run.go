@@ -132,7 +132,7 @@ func (e *Engine) converge(ctx context.Context, horizon int64) error {
 	}
 	for sweep := 0; sweep < e.opts.MaxSweeps; sweep++ {
 		// Cancellation is honored at sweep boundaries only: a sweep is the
-		// unit of consistency (events commit, dirty flags settle), so
+		// unit of consistency (events commit, dirty bits settle), so
 		// stopping here leaves the engine resumable — a later AdvanceCtx
 		// picks the convergence back up from the committed state.
 		if err := ctx.Err(); err != nil {

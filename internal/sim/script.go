@@ -6,7 +6,6 @@ import (
 	"gatesim/internal/logic"
 	"gatesim/internal/netlist"
 	"gatesim/internal/plan"
-	"gatesim/internal/sched"
 	"gatesim/internal/truthtab"
 )
 
@@ -39,21 +38,13 @@ func orUint64(addr *uint64, mask uint64) uint64 {
 	}
 }
 
-// markDirty marks one gate for the next scan: the per-gate flag on the
-// interpreted schedule, the gate's bitset bit (plus the owning segment's
-// population count on a 0→1 transition) on the compiled one. Marks made
+// markDirty marks one gate for the next scan: the gate's bitset bit, plus
+// the owning segment's population count on a 0→1 transition. Marks made
 // while the frontier pass is draining are tallied so converge knows the
 // pass owes the next sweep work (see frontierState.draining).
 func (e *Engine) markDirty(cell netlist.CellID) {
 	if e.front.draining {
 		e.front.passDirty++
-	}
-	if e.dirtyBits == nil {
-		g := &e.gate[cell]
-		if !g.dirty.Load() {
-			g.dirty.Store(true)
-		}
-		return
 	}
 	bit := e.p.BitOf[cell]
 	w := &e.dirtyBits[bit>>6]
@@ -66,14 +57,19 @@ func (e *Engine) markDirty(cell netlist.CellID) {
 	}
 }
 
-// visitScriptComb1 is visitComb1 replayed from a compiled instruction: the
-// same straight-line ClassComb1 evaluation, but every plan-derived operand
-// (slot bases, LUT, output net, minArc, the uniform-arc delays) comes
-// pre-gathered from the ScriptOp instead of five scattered plan arrays. The
-// uniform-delay case is fully branch-free: op.Delay is indexed by the
-// settled new output value, matching sched.DelayFor verdict-for-verdict.
-// Committed streams are byte-identical to the interpreted path's, which the
-// script equivalence tests check.
+// visitScriptComb1 is the ClassComb1 kernel, replayed from a compiled
+// instruction: the straight-line replay loop for a single-output,
+// zero-state gate with no edge-sensitive inputs. It follows visit (gate.go)
+// exactly, minus everything such a gate cannot need: no state vector or
+// semantic-output copies, no edge coding (the query value of an event is
+// just its settled value), one pending output instead of a loop over
+// outputs, and a packed-LUT probe — the raw input values shifted into
+// 3-bit fields — instead of the generic mixed-radix table walk. Every
+// plan-derived operand (slot bases, LUT, output net, minArc, the
+// uniform-arc delays) comes pre-gathered from the ScriptOp. When the plan
+// proved every arc delay of the gate equal (op.Uniform), delay selection
+// is branch-free: op.Delay is indexed by the settled new output value,
+// matching sched.DelayFor verdict-for-verdict.
 func (e *Engine) visitScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 	g := &e.gate[op.Gate]
 	inB := int(op.InBase)
@@ -81,27 +77,13 @@ func (e *Engine) visitScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 	outB := int(op.OutSlot)
 	lut := op.LUT
 	inQ := e.inQ[inB : inB+ni]
-	q := e.outQ[outB]
 	softCur := e.softCur[inB : inB+ni]
 	sc.visits[truthtab.ClassComb1]++
 
-	// Soft-resume / idle checks, exactly as in visit.
-	resume := g.softValid
-	idle := resume
-	if resume {
-		for i := 0; i < ni; i++ {
-			iq := inQ[i]
-			if softCur[i] < iq.Len() {
-				idle = false
-				if iq.MustAt(softCur[i]).Time < g.softNow {
-					resume = false
-					break
-				}
-			}
-		}
-	}
+	wm := loadWatermarks(sc, inQ)
+	resume, idle := softResume(g, inQ, softCur)
 	if resume && idle {
-		return e.idleScriptComb1(op, sc)
+		return e.idleScriptComb1(op, wm, sc)
 	}
 	// A real visit may change the soft input values the idle walks' memo
 	// was proven against; drop it (cheap, and stale masks are unsound).
@@ -126,24 +108,24 @@ func (e *Engine) visitScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 		out.Reset(e.lastCommitted[outB])
 		now = g.baseNow
 	}
+	arcs := e.p.Arcs[op.ArcBase : int(op.ArcBase)+ni]
 	detUntil := TimeInf
-	frontOn := e.front.on
 	fullU := uint32(0)
-	if frontOn && lut.AllU {
+	if lut.AllU {
 		fullU = uint32(1)<<uint(ni) - 1
 	}
 	for {
-		// Next change point: earliest unconsumed event or stable-time
-		// expiry strictly after `now`.
+		// Next change point: earliest unconsumed event below its input's
+		// watermark snapshot, or stable-time expiry strictly after `now`.
 		t := TimeInf
 		for i := 0; i < ni; i++ {
 			iq := inQ[i]
 			if sc.cur[i].Idx < iq.Len() {
-				if et := sc.cur[i].Peek(iq).Time; et < t {
+				if et := sc.cur[i].Peek(iq).Time; et < t && et < wm[i] {
 					t = et
 				}
 			}
-			if w := iq.DeterminedUntil(); w > now && w < t {
+			if w := wm[i]; w > now && w < t {
 				t = w
 			}
 		}
@@ -153,15 +135,14 @@ func (e *Engine) visitScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 
 		// Build the packed query index directly: settled values and U are
 		// their own 3-bit fields. exp tracks the expired pins so trailing
-		// pure-expiry probes can seed the idle walks' determinedness memo
-		// (see visitComb1).
+		// pure-expiry probes can seed the idle walks' determinedness memo.
 		idx := 0
 		var exp uint32
 		sc.evIn = sc.evIn[:0]
 		for i := 0; i < ni; i++ {
 			iq := inQ[i]
 			v := sc.vals[i]
-			if sc.cur[i].Idx < iq.Len() {
+			if t < wm[i] && sc.cur[i].Idx < iq.Len() {
 				if ev := sc.cur[i].Peek(iq); ev.Time == t {
 					v = ev.Val.Settle()
 					sc.evIn = append(sc.evIn, i)
@@ -169,15 +150,17 @@ func (e *Engine) visitScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 					continue
 				}
 			}
-			if t >= iq.DeterminedUntil() {
+			if t >= wm[i] {
 				v = logic.VU
 				exp |= 1 << uint(i)
 			}
 			idx |= int(v) << (3 * i)
 		}
-		// Every pin expired and the function is input-sensitive: U by
-		// construction, no probe needed (see visitComb1; fullU is zero
-		// unless the frontier is armed and the LUT qualifies).
+		// Every pin expired and the function is input-sensitive: the verdict
+		// is U by construction (PackedLUT.AllU), no probe needed. exp only
+		// covers pins that took the expiry branch, so this is event-free.
+		// (fullU is zero unless the LUT qualifies, so the nonzero compare is
+		// the whole check on the hot path.)
 		if exp == fullU && fullU != 0 {
 			sc.queriesSaved++
 			detUntil = t
@@ -186,7 +169,10 @@ func (e *Engine) visitScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 		nv := lut.Data[idx]
 		sc.queries[truthtab.ClassComb1]++
 		if nv == logic.VU {
-			if frontOn && len(sc.evIn) == 0 && (g.maskUndet == 0 || exp&^g.maskUndet == 0) {
+			// An event-free probe used exactly the values this visit will
+			// store as the soft snapshot, so its verdict seeds the memo and
+			// the post-visit wakeup walk skips the re-probe.
+			if len(sc.evIn) == 0 && (g.maskUndet == 0 || exp&^g.maskUndet == 0) {
 				g.maskUndet = exp
 			}
 			detUntil = t
@@ -195,18 +181,18 @@ func (e *Engine) visitScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 
 		// Consume the change point.
 		if len(sc.evIn) > 0 {
+			// The new input values invalidate any memo seeded at earlier
+			// expiry-only probes of this visit.
 			g.maskDet, g.maskUndet = 0, 0
 			if nv != sem {
 				var d int64
 				if op.Uniform {
 					d = op.Delay[nv]
 				} else {
-					arcB := int(op.ArcBase)
-					d = int64(1) << 62
-					for _, i := range sc.evIn {
-						if ad := sched.DelayFor(e.p.Arcs[arcB+i], nv); ad < d {
-							d = ad
-						}
+					d = eventDelay(arcs, sc.evIn, nv)
+					if exp != 0 && expiredFaster(arcs, exp, nv, d) {
+						detUntil = t
+						break
 					}
 				}
 				out.Schedule(t+d, nv)
@@ -216,7 +202,7 @@ func (e *Engine) visitScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 				sc.vals[i] = sc.cur[i].Peek(inQ[i]).Val.Settle()
 				sc.cur[i].Advance()
 			}
-		} else if frontOn && exp&g.maskDet == g.maskDet {
+		} else if exp&g.maskDet == g.maskDet {
 			g.maskDet = exp
 		}
 		now = t
@@ -224,59 +210,9 @@ func (e *Engine) visitScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 	g.detUntil.Store(detUntil)
 
 	// Commit the single output and advance its watermark.
-	limit := detUntil
-	if limit < TimeInf {
-		limit += op.MinArc
-		if limit > TimeInf {
-			limit = TimeInf
-		}
-	}
-	commitThrough := limit - 1
-	progress := false
-	newEvents := false
-	for {
-		te, ok := out.NextPending()
-		if !ok || te > commitThrough {
-			break
-		}
-		ev := out.PopFront()
-		if ev.Time > e.committedUntil[outB] {
-			if q != nil {
-				q.Append(ev.Time, ev.Val)
-				newEvents = true
-				sc.events++
-			}
-			e.lastCommitted[outB] = ev.Val
-		}
-	}
-	if commitThrough > e.committedUntil[outB] {
-		e.committedUntil[outB] = commitThrough
-	}
-	wOld := int64(-1)
-	if q != nil && q.DeterminedUntil() < limit {
-		wOld = q.DeterminedUntil()
-		q.SetDeterminedUntil(limit)
-	}
-	if newEvents || wOld >= 0 {
-		progress = true
-		e.markLoads(op.OutNet, wOld, newEvents)
-	}
-
-	futureMin := int64(TimeInf)
-	if te, ok := out.NextPending(); ok {
-		futureMin = te
-	}
-	blocked := false
-	for i := 0; i < ni; i++ {
-		if sc.cur[i].Idx < inQ[i].Len() {
-			blocked = true
-			if et := sc.cur[i].Peek(inQ[i]).Time; et < futureMin {
-				futureMin = et
-			}
-		}
-	}
-	g.futureMin = futureMin
-	g.blocked = blocked
+	limit := outLimit(detUntil, op.MinArc)
+	progress := e.publish(outB, op.OutNet, limit, e.commitOutput(outB, out, limit, sc))
+	g.futureMin, g.blocked = inputFutureMin(sc, inQ, pendMin(out.Pend(), TimeInf))
 
 	// Save the soft snapshot for the next visit.
 	g.softNow = now
@@ -290,25 +226,29 @@ func (e *Engine) visitScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 	return progress
 }
 
-// idleScriptComb1 is idleComb1 with instruction operands: a
+// idleScriptComb1 is idleVisit specialized the same way: a
 // watermark-expiry-only walk with a packed-LUT probe per expiry and a
-// single output to commit from the soft pending list.
-func (e *Engine) idleScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
+// single output to commit from the soft pending list. The gate's
+// determinedness memo (gateState.maskDet/maskUndet) elides probes whose
+// expired-input set a previous walk already decided under the same soft
+// values.
+func (e *Engine) idleScriptComb1(op *plan.ScriptOp, wm []int64, sc *scratch) bool {
 	g := &e.gate[op.Gate]
 	inB := int(op.InBase)
 	ni := int(op.NIn)
 	outB := int(op.OutSlot)
 	lut := op.LUT
-	inQ := e.inQ[inB : inB+ni]
-	q := e.outQ[outB]
 
-	// Watermark snapshot + determinedness memo, exactly as in idleComb1.
-	wm := sc.wm[:ni]
+	// The walk runs over the watermark snapshot wm (see loadWatermarks),
+	// folding in the maximal expired set and its last expiry instant for
+	// the shortcut below, then the expiry loop: at each expiry the set of expired inputs
+	// alone decides the probe (the non-expired values are the unchanged
+	// soft values), so the gate's determinedness memo can skip the LUT
+	// probe whenever the set is inside a proven-determined mask or covers
+	// a proven-U one.
 	var expMax uint32
 	tLast := int64(0)
-	for i := 0; i < ni; i++ {
-		w := inQ[i].DeterminedUntil()
-		wm[i] = w
+	for i, w := range wm {
 		if w < TimeInf {
 			expMax |= 1 << uint(i)
 			if w > tLast {
@@ -318,9 +258,12 @@ func (e *Engine) idleScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 	}
 	now := g.softNow
 	detUntil := TimeInf
-	frontOn := e.front.on
-	// Maximal-set shortcut, as in idleComb1: one determined probe with
-	// every finite-watermark input expired settles the entire walk.
+	// Maximal-set shortcut: the expired set only grows along the walk, and
+	// determinedness is antitone in it, so if the probe with *every*
+	// finite-watermark input expired at once comes back determined, every
+	// instant of the walk is determined — one probe (or a memo hit) settles
+	// the whole walk and the loop below degenerates to the TimeInf break. A
+	// U verdict seeds the memo and the loop finds the first U instant.
 	full := uint32(1)<<uint(ni) - 1
 	if tLast > now && g.maskDet != 0 && !(expMax == full && lut.AllU) &&
 		(g.maskUndet == 0 || expMax&g.maskUndet != g.maskUndet) {
@@ -351,9 +294,11 @@ func (e *Engine) idleScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 			now = tLast
 		}
 	}
-	// Incremental probe state, as in idleComb1: exp and the packed index
-	// are maintained in place as the walk crosses watermarks instead of
-	// being rebuilt O(ni) at every change point.
+	// Incremental probe state: the expired set only grows as the walk
+	// advances, so the set and the packed probe index are maintained in
+	// place — pins expired at `now` start as VU, the rest hold their soft
+	// value and flip to VU once the walk crosses their watermark — instead
+	// of rebuilding both O(ni) scans at every change point.
 	exp := uint32(0)
 	idx := 0
 	for i := 0; i < ni; i++ {
@@ -380,7 +325,7 @@ func (e *Engine) idleScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 				idx = idx&^(7<<(3*uint(i))) | int(logic.VU)<<(3*uint(i))
 			}
 		}
-		if frontOn && exp == full && lut.AllU {
+		if exp == full && lut.AllU {
 			sc.queriesSaved++
 			detUntil = t
 			break
@@ -397,13 +342,13 @@ func (e *Engine) idleScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 		}
 		sc.queries[truthtab.ClassComb1]++
 		if lut.Data[idx] == logic.VU {
-			if frontOn && (g.maskUndet == 0 || exp&^g.maskUndet == 0) {
+			if g.maskUndet == 0 || exp&^g.maskUndet == 0 {
 				g.maskUndet = exp
 			}
 			detUntil = t
 			break
 		}
-		if frontOn && exp&g.maskDet == g.maskDet {
+		if exp&g.maskDet == g.maskDet {
 			g.maskDet = exp
 		}
 		now = t
@@ -411,52 +356,8 @@ func (e *Engine) idleScriptComb1(op *plan.ScriptOp, sc *scratch) bool {
 	g.softNow = now
 	g.detUntil.Store(detUntil)
 
-	limit := detUntil
-	if limit < TimeInf {
-		limit += op.MinArc
-		if limit > TimeInf {
-			limit = TimeInf
-		}
-	}
-	commitThrough := limit - 1
-	progress := false
-	newEvents := false
-	pend := e.softPend[outB]
-	k := 0
-	for k < len(pend) && pend[k].Time <= commitThrough {
-		ev := pend[k]
-		k++
-		if ev.Time > e.committedUntil[outB] {
-			if q != nil {
-				q.Append(ev.Time, ev.Val)
-				newEvents = true
-				sc.events++
-			}
-			e.lastCommitted[outB] = ev.Val
-		}
-	}
-	if k > 0 {
-		e.softPend[outB] = append(pend[:0], pend[k:]...)
-	}
-	if commitThrough > e.committedUntil[outB] {
-		e.committedUntil[outB] = commitThrough
-	}
-	wOld := int64(-1)
-	if q != nil && q.DeterminedUntil() < limit {
-		wOld = q.DeterminedUntil()
-		q.SetDeterminedUntil(limit)
-	}
-	if newEvents || wOld >= 0 {
-		progress = true
-		e.markLoads(op.OutNet, wOld, newEvents)
-	}
-
-	futureMin := int64(TimeInf)
-	for _, ev := range e.softPend[outB] {
-		if ev.Time < futureMin {
-			futureMin = ev.Time
-		}
-	}
-	g.futureMin = futureMin
+	limit := outLimit(detUntil, op.MinArc)
+	progress := e.publish(outB, op.OutNet, limit, e.commitSoftPend(outB, limit, sc))
+	g.futureMin = pendMin(e.softPend[outB], TimeInf)
 	return progress
 }

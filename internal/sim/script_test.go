@@ -5,20 +5,20 @@ import (
 	"fmt"
 	"testing"
 
+	"gatesim/internal/event"
 	"gatesim/internal/gen"
 	"gatesim/internal/liberty"
 	"gatesim/internal/logic"
 	"gatesim/internal/netlist"
 	"gatesim/internal/obs"
 	"gatesim/internal/plan"
-	"gatesim/internal/refsim"
 	"gatesim/internal/sdf"
 )
 
 // TestScriptMixedEquivalence checks, on the mixed-kernel fixture, that the
-// script-replay engine, the interpreted engine (DisableScripts) and the
-// reference simulator produce byte-identical committed event streams across
-// all execution modes.
+// script-replay engine streamed through RunStream — so every slice ends
+// with a checkpoint round folding and trimming history — emits exactly the
+// reference simulator's events on every net, across all execution modes.
 func TestScriptMixedEquivalence(t *testing.T) {
 	force4Procs(t)
 	nl, delays := mixedKernelDesign(t)
@@ -27,34 +27,33 @@ func TestScriptMixedEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	stim := mixedKernelStim(nl, t)
-
-	ref, err := refsim.NewFromPlan(p)
-	if err != nil {
-		t.Fatal(err)
+	want := refCollect(t, p, stim)
+	all := make([]netlist.NetID, len(nl.Nets))
+	for i := range all {
+		all[i] = netlist.NetID(i)
 	}
-	want := refsim.Collect{}
-	rstim := make([]refsim.Stim, len(stim))
-	for i, s := range stim {
-		rstim[i] = refsim.Stim{Net: s.Net, Time: s.Time, Val: s.Val}
-	}
-	if err := ref.Run(rstim, want.Add); err != nil {
-		t.Fatal(err)
-	}
-
 	for _, mode := range []Mode{ModeSerial, ModeParallel, ModeManycore} {
-		opts := pooledOpts(mode)
-		scripted := runCollect(t, p, stim, opts)
-		diffStreams(t, nl, want, scripted, fmt.Sprintf("scripts mode=%v vs refsim", mode))
-
-		opts.DisableScripts = true
-		interp := runCollect(t, p, stim, opts)
-		diffStreams(t, nl, scripted, interp, fmt.Sprintf("mode=%v scripts vs interpreted", mode))
+		e, err := NewFromPlan(p, pooledOpts(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[netlist.NetID][]event.Event{}
+		err = e.RunStream(NewSliceSource(streamChanges(stim)), StreamConfig{SlicePS: 3000, Watch: all,
+			OnEvent: func(nid netlist.NetID, ev event.Event) { got[nid] = append(got[nid], ev) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Stats().Checkpoints == 0 {
+			t.Errorf("mode=%v: streamed run took no checkpoints", mode)
+		}
+		e.Close()
+		diffStreams(t, nl, want, got, fmt.Sprintf("streamed scripts mode=%v vs refsim", mode))
 	}
 }
 
-// TestScriptGeneratedEquivalence repeats the scripts-vs-interpreted stream
-// comparison on generated designs (FFs, latches, scan chains, clock gates,
-// deep comb cloud) across seeds and modes.
+// TestScriptGeneratedEquivalence repeats the refsim stream comparison on
+// generated designs (FFs, latches, scan chains, clock gates, deep comb
+// cloud) across seeds and modes.
 func TestScriptGeneratedEquivalence(t *testing.T) {
 	force4Procs(t)
 	for seed := int64(0); seed < 3; seed++ {
@@ -68,13 +67,10 @@ func TestScriptGeneratedEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		stim := gen.Stimuli(d, gen.StimSpec{Cycles: 20, ActivityFactor: 0.7, Seed: seed, ScanBurst: 5})
+		want := refCollect(t, p, stim)
 		for _, mode := range []Mode{ModeSerial, ModeParallel, ModeManycore} {
-			opts := pooledOpts(mode)
-			scripted := runCollect(t, p, stim, opts)
-			opts.DisableScripts = true
-			interp := runCollect(t, p, stim, opts)
-			diffStreams(t, d.Netlist, scripted, interp,
-				fmt.Sprintf("seed=%d mode=%v scripts vs interpreted", seed, mode))
+			got := runCollect(t, p, stim, pooledOpts(mode))
+			diffStreams(t, d.Netlist, want, got, fmt.Sprintf("seed=%d mode=%v scripts vs refsim", seed, mode))
 		}
 	}
 }
@@ -109,18 +105,7 @@ func TestScriptFusedChainPooled(t *testing.T) {
 		stim = append(stim, gen.Change{Net: n0, Time: 1000 + i*400, Val: logic.Value(i % 2)})
 	}
 
-	ref, err := refsim.NewFromPlan(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := refsim.Collect{}
-	rstim := make([]refsim.Stim, len(stim))
-	for i, s := range stim {
-		rstim[i] = refsim.Stim{Net: s.Net, Time: s.Time, Val: s.Val}
-	}
-	if err := ref.Run(rstim, want.Add); err != nil {
-		t.Fatal(err)
-	}
+	want := refCollect(t, p, stim)
 	for _, mode := range []Mode{ModeParallel, ModeManycore} {
 		got := runCollect(t, p, stim, pooledOpts(mode))
 		diffStreams(t, nl, want, got, fmt.Sprintf("fused chain mode=%v vs refsim", mode))
@@ -128,8 +113,7 @@ func TestScriptFusedChainPooled(t *testing.T) {
 }
 
 // TestScriptCounters checks the script observability: ScriptSegments
-// reports the compiled schedule size (zero when scripts are disabled),
-// SegmentsSkipped counts clean-segment skips on multi-sweep runs, and the
+// reports the compiled schedule size, SegmentsSkipped counts clean-segment skips on multi-sweep runs, and the
 // obs counter mirrors the Stats field.
 func TestScriptCounters(t *testing.T) {
 	nl, delays := mixedKernelDesign(t)
@@ -164,34 +148,15 @@ func TestScriptCounters(t *testing.T) {
 		t.Errorf("sim.segments_skipped counter = %d, Stats = %d", got, st.SegmentsSkipped)
 	}
 
-	g, err := NewFromPlan(p, Options{Mode: ModeSerial, DisableScripts: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	for _, s := range stim {
-		if err := g.Inject(s.Net, s.Time, s.Val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	gst := g.Stats()
-	if gst.ScriptSegments != 0 || gst.SegmentsSkipped != 0 {
-		t.Errorf("DisableScripts: ScriptSegments = %d, SegmentsSkipped = %d, want 0, 0",
-			gst.ScriptSegments, gst.SegmentsSkipped)
-	}
-	// Both paths commit the same streams regardless of the counter split.
-	diffStreams(t, nl, collectEngine(e), collectEngine(g), "counters fixture scripts vs interpreted")
 }
 
-// TestScriptSnapshotCrossRestore saves a snapshot from an engine on one
-// execution path and restores it into an engine on the other, in both
-// directions. Snapshots capture only persistent slot arrays — no script
-// state — so the combined run must match a one-shot reference on either
-// path.
+// TestScriptSnapshotCrossRestore saves a snapshot from an engine in one
+// execution mode and restores it into an engine in another, in both
+// directions. Snapshots capture only persistent slot arrays — no script,
+// dirty-bitset or worker state — so the combined run must match a one-shot
+// reference whichever mode runs either half.
 func TestScriptSnapshotCrossRestore(t *testing.T) {
+	force4Procs(t)
 	nl, delays := mixedKernelDesign(t)
 	p, err := plan.Build(nl, testLib, delays)
 	if err != nil {
@@ -205,8 +170,8 @@ func TestScriptSnapshotCrossRestore(t *testing.T) {
 		label      string
 		from, into Options
 	}{
-		{"scripts->interpreted", Options{Mode: ModeSerial}, Options{Mode: ModeSerial, DisableScripts: true}},
-		{"interpreted->scripts", Options{Mode: ModeSerial, DisableScripts: true}, Options{Mode: ModeSerial}},
+		{"serial->manycore", Options{Mode: ModeSerial}, pooledOpts(ModeManycore)},
+		{"parallel->serial", pooledOpts(ModeParallel), Options{Mode: ModeSerial}},
 	} {
 		e1, err := NewFromPlan(p, dir.from)
 		if err != nil {
@@ -292,8 +257,8 @@ func fuzzCombNetlist(data []byte) (*netlist.Netlist, error) {
 }
 
 // FuzzScriptComb1Segment builds random comb1-only netlists and checks the
-// compiled script replay against the interpreted path gate for gate: the
-// committed event streams must be byte-identical.
+// compiled script replay against the reference simulator: the committed
+// event streams must be byte-identical.
 func FuzzScriptComb1Segment(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 2, 2, 0, 5})
 	f.Add([]byte{1, 4, 1, 7, 2, 9, 0, 2, 1, 3, 2, 8, 0, 1, 1, 6})
@@ -323,7 +288,6 @@ func FuzzScriptComb1Segment(f *testing.F) {
 			}
 		}
 		scripted := runCollect(t, p, stim, Options{Mode: ModeSerial})
-		interp := runCollect(t, p, stim, Options{Mode: ModeSerial, DisableScripts: true})
-		diffStreams(t, nl, scripted, interp, "fuzz scripts vs interpreted")
+		diffStreams(t, nl, refCollect(t, p, stim), scripted, "fuzz scripts vs refsim")
 	})
 }

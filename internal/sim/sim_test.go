@@ -888,3 +888,215 @@ func TestValueBeyondWatermark(t *testing.T) {
 		t.Errorf("unadvanced value = %v, want U", got)
 	}
 }
+
+// expiredArcFixture builds two cones in which one input of a gate reaches
+// its new value through a slow path and the other through a fast one, so a
+// slice boundary can leave the fast input's watermark at or below the
+// instant both inputs change:
+//
+//	a -> bufA (40) -> na \
+//	                       XNOR2 x0 -> y   (A->Y 20 ps, B->Y 40 ps)
+//	b -> bufB (50) -> nb /
+//	c -> bufC (10) -> nc  (CLK)     \
+//	r -> bufR (50) -> nr  (RESET_B)  DFF_PR ff0 -> q, qn
+//	d                     (D)       /   (CLK->Q/QN 15 ps, RESET_B->Q/QN 45 ps)
+//
+// x0 is a ClassComb1 gate and ff0 a ClassSeq one, so both visit kernels
+// (and their lane twins) see the case.
+func expiredArcFixture(t *testing.T) (*netlist.Netlist, *sdf.Delays) {
+	t.Helper()
+	nl := netlist.New("expiredarc", liberty.MustBuiltin())
+	for _, p := range []string{"a", "b", "c", "r", "d"} {
+		if err := nl.MarkInput(nl.AddNet(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, inst := range []struct {
+		name, cell string
+		pins       map[string]string
+	}{
+		{"bufA", "BUF", map[string]string{"A": "a", "Y": "na"}},
+		{"bufB", "BUF", map[string]string{"A": "b", "Y": "nb"}},
+		{"bufC", "BUF", map[string]string{"A": "c", "Y": "nc"}},
+		{"bufR", "BUF", map[string]string{"A": "r", "Y": "nr"}},
+		{"x0", "XNOR2", map[string]string{"A": "na", "B": "nb", "Y": "y"}},
+		{"ff0", "DFF_PR", map[string]string{"CLK": "nc", "RESET_B": "nr", "D": "d", "Q": "q", "QN": "qn"}},
+	} {
+		if _, err := nl.AddInstance(inst.name, inst.cell, inst.pins); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := sdf.Parse(`(DELAYFILE (TIMESCALE 1ps)
+ (CELL (CELLTYPE "BUF") (INSTANCE bufA) (DELAY (ABSOLUTE (IOPATH A Y (40) (40)))))
+ (CELL (CELLTYPE "BUF") (INSTANCE bufB) (DELAY (ABSOLUTE (IOPATH A Y (50) (50)))))
+ (CELL (CELLTYPE "BUF") (INSTANCE bufC) (DELAY (ABSOLUTE (IOPATH A Y (10) (10)))))
+ (CELL (CELLTYPE "BUF") (INSTANCE bufR) (DELAY (ABSOLUTE (IOPATH A Y (50) (50)))))
+ (CELL (CELLTYPE "XNOR2") (INSTANCE x0) (DELAY (ABSOLUTE
+   (IOPATH A Y (20) (20)) (IOPATH B Y (40) (40)))))
+ (CELL (CELLTYPE "DFF_PR") (INSTANCE ff0) (DELAY (ABSOLUTE
+   (IOPATH CLK Q (15) (15)) (IOPATH CLK QN (15) (15))
+   (IOPATH RESET_B Q (45) (45)) (IOPATH RESET_B QN (45) (45)))))
+)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delays, err := sdf.Apply(f, nl, sdf.Delay{Rise: 30, Fall: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nl, delays
+}
+
+// TestExpiredInputFasterArc pins the delay-selection rule for a change
+// point whose other inputs have expired. With 1000 ps slices, the first
+// slice commits nb -> X and nr -> 0 at 1040 while na is determined only
+// until 1040 and nc until 1010; the second slice brings na -> X and nc -> 1
+// at the same instant 1040. The output was already determined in the first
+// slice (X through the XNOR whatever A does; reset dominates the flop), but refsim
+// schedules it through the faster of the two arcs changing at 1040 — so
+// the engine may not consume that point while a faster input could still
+// change there. Scalar and lane runs must both match refsim.
+func TestExpiredInputFasterArc(t *testing.T) {
+	nl, delays := expiredArcFixture(t)
+	p, err := plan.Build(nl, testLib, delays)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := func(name string) netlist.NetID {
+		nid, ok := nl.Net(name)
+		if !ok {
+			t.Fatalf("net %s missing", name)
+		}
+		return nid
+	}
+	stim := []Change{
+		{net("a"), 0, logic.V0}, {net("b"), 0, logic.V0}, {net("c"), 0, logic.V0},
+		{net("r"), 0, logic.V1}, {net("d"), 0, logic.V1},
+		{net("c"), 100, logic.V1}, {net("c"), 300, logic.V0},
+		{net("b"), 990, logic.VX}, {net("r"), 990, logic.V0},
+		{net("a"), 1000, logic.VX}, {net("c"), 1030, logic.V1},
+	}
+	ref, err := refsim.NewFromPlan(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := refsim.Collect{}
+	rstim := make([]refsim.Stim, len(stim))
+	for i, s := range stim {
+		rstim[i] = refsim.Stim{Net: s.Net, Time: s.Time, Val: s.Val}
+	}
+	if err := ref.Run(rstim, want.Add); err != nil {
+		t.Fatal(err)
+	}
+	if len(want[net("y")]) == 0 || len(want[net("q")]) < 2 {
+		t.Fatalf("fixture does not toggle y and q: %v", want)
+	}
+	all := make([]netlist.NetID, len(nl.Nets))
+	for i := range all {
+		all[i] = netlist.NetID(i)
+	}
+
+	e, err := NewFromPlan(p, Options{Mode: ModeSerial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	got := map[netlist.NetID][]event.Event{}
+	err = e.RunStream(NewSliceSource(stim), StreamConfig{SlicePS: 1000, Watch: all,
+		OnEvent: func(nid netlist.NetID, ev event.Event) { got[nid] = append(got[nid], ev) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffStreams(t, nl, want, got, "scalar vs refsim")
+
+	perLane := [][]Change{stim, stim}
+	merged, err := MergeLaneChanges(perLane)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewFromPlan(p, Options{Mode: ModeSerial, Lanes: len(perLane)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.RunLaneStream(merged, LaneStreamConfig{SlicePS: 1000, Watch: all}); err != nil {
+		t.Fatal(err)
+	}
+	for ln := range perLane {
+		lanes := map[netlist.NetID][]event.Event{}
+		for _, nid := range all {
+			lanes[nid] = l.LaneEvents(nid, ln)
+		}
+		diffStreams(t, nl, want, lanes, fmt.Sprintf("lane %d vs refsim", ln))
+	}
+}
+
+// TestVisitIgnoresEventsPastWatermark pins the reader side of the
+// concurrent commit protocol. Under pool workers a driver in the same fused
+// level group appends events before it publishes the watermark covering
+// them, so a reader can find an event at or past the input watermark it
+// loaded. The reader must leave such an event for a later visit and treat
+// the input as U from its watermark on; consuming it would let the replay
+// run past the input's expiry and publish a watermark it cannot know. The
+// test recreates that state on one goroutine by injecting a primary-input
+// event exactly at the input's watermark and visiting the readers directly.
+// y = AND2(a, b) and the HA's outputs are determined with a at its new
+// value 0 and b = X, but not with a undetermined, so both the comb1 kernel
+// and the generic interpreter must stop at the watermark.
+func TestVisitIgnoresEventsPastWatermark(t *testing.T) {
+	nl := netlist.New("pastwm", liberty.MustBuiltin())
+	for _, p := range []string{"a", "b"} {
+		if err := nl.MarkInput(nl.AddNet(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := nl.AddInstance("and0", "AND2", map[string]string{"A": "a", "B": "b", "Y": "y"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nl.AddInstance("ha0", "HA", map[string]string{"A": "a", "B": "b", "SUM": "s", "COUT": "co"}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := plan.Build(nl, testLib, sdf.Uniform(nl, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewFromPlan(p, Options{Mode: ModeSerial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	a, _ := nl.Net("a")
+	b, _ := nl.Net("b")
+	// b's later event keeps b determined past a's watermark, so only a
+	// expires at w.
+	for _, c := range []Change{{a, 10, logic.V1}, {b, 10, logic.VX}, {b, 200, logic.V1}} {
+		if err := e.Inject(c.Net, c.Time, c.Val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const w = 50
+	if err := e.Advance(w); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Events(a).DeterminedUntil(); got != w {
+		t.Fatalf("input watermark = %d, want %d", got, w)
+	}
+	if err := e.Inject(a, w, logic.V0); err != nil {
+		t.Fatal(err)
+	}
+	sc := e.exec.scratches[0]
+	for _, name := range []string{"and0", "ha0"} {
+		cell := cellByName(t, nl, name)
+		sp := &p.Scripts[p.SegOf[cell]]
+		e.visitGate(&sp.Ops[p.BitOf[cell]-sp.BitOff], sp.Kernel == truthtab.ClassComb1, sc)
+		if got := e.gate[cell].detUntil.Load(); got != w {
+			t.Errorf("%s: detUntil = %d after a visit that found an event at its input watermark %d, want %d", name, got, w, w)
+		}
+	}
+	for _, out := range []string{"y", "s", "co"} {
+		nid, _ := nl.Net(out)
+		if got := e.Events(nid).DeterminedUntil(); got > w+10 {
+			t.Errorf("%s: watermark %d published past input watermark %d + delay", out, got, w)
+		}
+	}
+}

@@ -12,7 +12,7 @@ import (
 // interrupted and resumed, or forked to explore different stimulus tails.
 // A snapshot captures the engine's persistent state — the flat base
 // checkpoint and commitment arrays plus per-net retained events and
-// watermarks. Scratch state (soft-resume snapshots, dirty flags) is
+// watermarks. Scratch state (soft-resume snapshots, dirty bits) is
 // recomputed, so snapshots are only valid at quiescent points: after an
 // Advance returned and before new stimulus is injected.
 
@@ -133,9 +133,9 @@ func (e *Engine) LoadSnapshot(r io.Reader) error {
 		// values; stale masks would be unsound against the restored state.
 		g.maskDet, g.maskUndet = 0, 0
 	}
-	// Re-mark everything (flags and, with scripts on, the dirty bitset) so
-	// the first sweep after the restore rebuilds every soft snapshot. Staged
-	// frontier entries belong to the replaced world: drop them.
+	// Re-mark every gate so the first sweep after the restore rebuilds every
+	// soft snapshot. Staged frontier entries belong to the replaced world:
+	// drop them.
 	e.resetFrontier()
 	e.markAllDirty()
 	e.lastDirty = len(e.gate)

@@ -92,10 +92,53 @@ func (e *Engine) RunStreamCtx(ctx context.Context, src StimulusSource, cfg Strea
 	if e.lanes > 1 {
 		return fmt.Errorf("sim: RunStream on a lane-mode engine; use RunLaneStream")
 	}
-	if cfg.SlicePS <= 0 {
-		cfg.SlicePS = 65536
+	pending, err := src.Next()
+	if err != nil && err != io.EOF {
+		return err
 	}
-	watch := cfg.Watch
+	havePending := err == nil
+	var batch []Change // reused: one slice's changes, read before any is injected
+	inject := func(end int64) (bool, error) {
+		batch = batch[:0]
+		for havePending && pending.Time < end {
+			batch = append(batch, pending)
+			var err error
+			if pending, err = src.Next(); err == io.EOF {
+				havePending = false
+			} else if err != nil {
+				return false, err
+			}
+		}
+		for _, c := range batch {
+			if err := e.Inject(c.Net, c.Time, c.Val); err != nil {
+				return false, err
+			}
+		}
+		return havePending, nil
+	}
+	var emit func(nid netlist.NetID, _ int64, ev event.Event)
+	if cfg.OnEvent != nil {
+		emit = func(nid netlist.NetID, _ int64, ev event.Event) { cfg.OnEvent(nid, ev) }
+	}
+	return e.runSlices(ctx, pending.Time, havePending, cfg.SlicePS, cfg.Watch, inject, emit, cfg.AfterSlice)
+}
+
+// runSlices is the slice loop behind RunStreamCtx and RunLaneStreamCtx.
+// Slices are slicePS long (default 65536 ps), aligned to multiples of it,
+// the first holding time first; more reports whether any stimulus exists.
+// Per slice: inject feeds every change before the slice end and reports
+// whether stimulus remains, the engine converges to the end, the watched
+// events below the slowest watched watermark are handed to emit (when
+// non-nil) in global time order, ties by net id, with their queue index,
+// history is checkpointed, and afterSlice runs. Once stimulus runs out the
+// engine finishes and every remaining watched event is emitted. watch
+// defaults to the primary outputs.
+func (e *Engine) runSlices(ctx context.Context, first int64, more bool, slicePS int64, watch []netlist.NetID,
+	inject func(end int64) (bool, error), emit func(nid netlist.NetID, idx int64, ev event.Event),
+	afterSlice func(end int64) error) error {
+	if slicePS <= 0 {
+		slicePS = 65536
+	}
 	if watch == nil {
 		watch = e.nl.PortsOut
 	}
@@ -111,14 +154,7 @@ func (e *Engine) RunStreamCtx(ctx context.Context, src StimulusSource, cfg Strea
 		}
 		read[nid] = i
 	}
-	var batch []Change // reused: one pending change between slices
-	pending, pendErr := src.Next()
-	havePending := pendErr == nil
-	if pendErr != nil && pendErr != io.EOF {
-		return pendErr
-	}
-
-	var emitBuf []timedEvent
+	var emitBuf []watchedEvent
 	flush := func(limit int64) error {
 		emitBuf = emitBuf[:0]
 		for _, nid := range watch {
@@ -132,53 +168,33 @@ func (e *Engine) RunStreamCtx(ctx context.Context, src StimulusSource, cfg Strea
 				if ev.Time >= limit {
 					break
 				}
-				emitBuf = append(emitBuf, timedEvent{nid, ev})
+				emitBuf = append(emitBuf, watchedEvent{nid, i, ev})
 			}
 			read[nid] = i
 			e.SetReadMark(nid, i)
 		}
-		if cfg.OnEvent != nil {
+		if emit != nil {
 			sort.Slice(emitBuf, func(a, b int) bool {
 				if emitBuf[a].ev.Time != emitBuf[b].ev.Time {
 					return emitBuf[a].ev.Time < emitBuf[b].ev.Time
 				}
 				return emitBuf[a].nid < emitBuf[b].nid
 			})
-			for _, te := range emitBuf {
-				cfg.OnEvent(te.nid, te.ev)
+			for _, we := range emitBuf {
+				emit(we.nid, we.idx, we.ev)
 			}
 		}
 		return nil
 	}
 
-	start := int64(0)
-	if havePending {
-		start = (pending.Time / cfg.SlicePS) * cfg.SlicePS
-	}
-	for havePending {
-		end := start + cfg.SlicePS
+	start := (first / slicePS) * slicePS
+	for more {
+		end := start + slicePS
 		sliceStart := time.Now()
 		e.obs.trace.Begin(e.obs.tid, "slice")
-		batch = batch[:0]
-		for havePending && pending.Time < end {
-			batch = append(batch, pending)
-			var err error
-			pending, err = src.Next()
-			if err == io.EOF {
-				havePending = false
-			} else if err != nil {
-				return err
-			}
-		}
-		for _, c := range batch {
-			if err := e.Inject(c.Net, c.Time, c.Val); err != nil {
-				e.obs.trace.End(e.obs.tid)
-				return err
-			}
-		}
-		if err := e.AdvanceCtx(ctx, end); err != nil {
-			e.obs.trace.End(e.obs.tid)
-			return err
+		var err error
+		if more, err = inject(end); err == nil {
+			err = e.AdvanceCtx(ctx, end)
 		}
 		// Events are only safe to emit in global order up to the slowest
 		// watched watermark.
@@ -188,7 +204,10 @@ func (e *Engine) RunStreamCtx(ctx context.Context, src StimulusSource, cfg Strea
 				limit = w
 			}
 		}
-		if err := flush(limit); err != nil {
+		if err == nil {
+			err = flush(limit)
+		}
+		if err != nil {
 			e.obs.trace.End(e.obs.tid)
 			return err
 		}
@@ -196,8 +215,8 @@ func (e *Engine) RunStreamCtx(ctx context.Context, src StimulusSource, cfg Strea
 		e.obs.trace.End(e.obs.tid)
 		e.obs.sliceNS.Observe(time.Since(sliceStart).Nanoseconds())
 		e.emitSliceCounters(limit)
-		if cfg.AfterSlice != nil {
-			if err := cfg.AfterSlice(end); err != nil {
+		if afterSlice != nil {
+			if err := afterSlice(end); err != nil {
 				return &SimError{Op: "stream", Cause: err}
 			}
 		}
@@ -229,7 +248,11 @@ func (e *Engine) emitSliceCounters(watermark int64) {
 	e.obs.trace.Count("pool.wakes", ps.Wakes)
 }
 
-type timedEvent struct {
+// watchedEvent is one watched event awaiting emission: its net, its index
+// in the net's queue (which lane mode needs to read the lane store), and
+// the event.
+type watchedEvent struct {
 	nid netlist.NetID
+	idx int64
 	ev  event.Event
 }

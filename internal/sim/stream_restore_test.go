@@ -163,135 +163,6 @@ func TestStreamAfterSliceSuspendRestoreCrossEngine(t *testing.T) {
 	}
 }
 
-// TestSnapshotCrossRestoreFrontierModes pins that snapshots are portable
-// across the frontier A/B switch, in both directions: a session suspended
-// on a frontier-on engine restores into a DisableFrontier engine (and vice
-// versa) and the concatenated emission stays byte-identical to an
-// uninterrupted baseline run. Restoring must work because the snapshot
-// captures only persistent state — staged frontier entries and idle-walk
-// memos are scratch, dropped on save and rebuilt from the restored marks —
-// so neither engine's arming choice can leak through the snapshot.
-func TestSnapshotCrossRestoreFrontierModes(t *testing.T) {
-	d, err := gen.Build(smallSpec(55))
-	if err != nil {
-		t.Fatal(err)
-	}
-	delays := gen.Delays(d, 3)
-	p, err := plan.Build(d.Netlist, testLib, delays)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stim := streamChanges(gen.Stimuli(d, gen.StimSpec{
-		Cycles: 40, ActivityFactor: 0.6, Seed: 13, ScanBurst: 8,
-	}))
-	const slice = int64(4000)
-
-	// Uninterrupted baseline emission, frontier off: the reference both
-	// cross-restore directions must reproduce.
-	var want []emitted
-	ref, err := NewFromPlan(p, Options{Mode: ModeSerial, DisableFrontier: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = ref.RunStream(NewSliceSource(stim), StreamConfig{
-		SlicePS: slice,
-		OnEvent: func(nid netlist.NetID, ev event.Event) {
-			want = append(want, emitted{nid, ev})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Close()
-
-	for _, dir := range []struct {
-		label      string
-		save, load Options
-	}{
-		{"on-to-off", Options{Mode: ModeSerial}, Options{Mode: ModeSerial, DisableFrontier: true}},
-		{"off-to-on", Options{Mode: ModeSerial, DisableFrontier: true}, Options{Mode: ModeSerial}},
-	} {
-		t.Run(dir.label, func(t *testing.T) {
-			errSuspend := errors.New("suspend")
-			var got []emitted
-			var snap bytes.Buffer
-			var cut int64
-			slices := 0
-			eA, err := NewFromPlan(p, dir.save)
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = eA.RunStream(NewSliceSource(stim), StreamConfig{
-				SlicePS: slice,
-				OnEvent: func(nid netlist.NetID, ev event.Event) {
-					got = append(got, emitted{nid, ev})
-				},
-				AfterSlice: func(end int64) error {
-					slices++
-					if slices == 3 {
-						cut = end
-						if err := eA.SaveSnapshot(&snap); err != nil {
-							return err
-						}
-						return errSuspend
-					}
-					return nil
-				},
-			})
-			if !errors.Is(err, errSuspend) {
-				t.Fatalf("suspend error = %v, want wrapped sentinel", err)
-			}
-			if cut == 0 || snap.Len() == 0 {
-				t.Fatal("AfterSlice never reached the suspend point")
-			}
-			eA.Close()
-
-			// Warm the restoring engine on unrelated stimulus first so the
-			// restore displaces live frontier/dirty state, not fresh zeros.
-			eB, err := NewFromPlan(p, dir.load)
-			if err != nil {
-				t.Fatal(err)
-			}
-			warm := streamChanges(gen.Stimuli(d, gen.StimSpec{
-				Cycles: 10, ActivityFactor: 0.9, Seed: 78,
-			}))
-			if err := eB.RunStream(NewSliceSource(warm), StreamConfig{SlicePS: slice}); err != nil {
-				t.Fatal(err)
-			}
-			if err := eB.LoadSnapshot(&snap); err != nil {
-				t.Fatal(err)
-			}
-			tail := stim[:0:0]
-			for _, c := range stim {
-				if c.Time >= cut {
-					tail = append(tail, c)
-				}
-			}
-			err = eB.RunStream(NewSliceSource(tail), StreamConfig{
-				SlicePS: slice,
-				OnEvent: func(nid netlist.NetID, ev event.Event) {
-					got = append(got, emitted{nid, ev})
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			eB.Close()
-
-			if len(got) != len(want) {
-				t.Fatalf("resumed stream emitted %d events, reference %d", len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("event %d: got %+v want %+v (net %s vs %s)", i,
-						got[i].ev, want[i].ev,
-						d.Netlist.Nets[got[i].nid].Name, d.Netlist.Nets[want[i].nid].Name)
-				}
-			}
-		})
-	}
-}
-
 // TestStreamAfterSliceErrorResumable: an AfterSlice error aborts the stream
 // as a resumable *SimError and a later RunStream on the SAME engine picks up
 // where the first stopped, with no events lost or duplicated.

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Repository check gate: build, vet, formatting, full tests, a short-mode
-# race pass over the concurrent packages, the glsimd end-to-end smoke, and
+# Repository check gate: build, vet, formatting, full tests, the nested
+# perfbench module's vet and tests, a short-mode race pass over the
+# concurrent packages, the glsimd end-to-end smoke, and
 # fuzz smoke stages for the script replayer and the parsers.
 # The sim race run includes the cross-mode equivalence test (serial/
 # parallel/manycore on one stimulus trace), so the pooled executor is raced
@@ -30,6 +31,12 @@ fi
 
 echo "== go test"
 go test ./...
+
+# The benchmark harness is a nested module (perfbench/go.mod), so the root
+# `go test ./...` skips it; build and test it here so an engine API change
+# cannot silently break the benchmark or its glsim drift guard.
+echo "== perfbench module (vet, test)"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== go test -race (short, concurrent packages)"
 go test -race -short ./internal/sim/ ./internal/partsim/ ./internal/workpool/ ./internal/obs/ ./internal/serve/
